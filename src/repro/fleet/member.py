@@ -40,18 +40,25 @@ Every quantity above is a pure function of (descriptor, spec workload,
 scale, seed): no execution-time environment, no cross-member
 communication.  That is what lets fleet members fan out across ``--jobs``
 worker processes and share the content-addressed result store.
+
+The dispatch itself is the same for every member of a fleet, so a process
+computes it once: the first member to ask splits the whole stream into
+per-device shares, a process-wide memo keeps them for the one fleet, and
+each member call builds fresh requests from its own share.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fleet.placement import build_placement, canonical_placement
 from repro.fleet.qos import build_qos
-from repro.hil.request import IoRequest
+from repro.hil.request import IoKind, IoRequest
 from repro.sim.rng import DeterministicRng
 from repro.workloads.trace import Trace
 
@@ -192,32 +199,34 @@ def _tenant_phase(tenants: int, tenant: int, duration_ns: int, seed: int) -> int
     return rng.randint(0, duration_ns)
 
 
-def member_requests(
+#: Request kinds as the integer codes a share stores them as.
+_KINDS = tuple(IoKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+#: A share holds one flat record per fragment: kind code, device-local
+#: offset, size, arrival, queue, tenant.
+_FIELDS = 6
+
+#: Every device's share of one fleet's dispatch, indexed by device.
+_Shares = Tuple[array, ...]
+
+
+def _dispatch(
     member: FleetMember,
     base: Trace,
     footprint_bytes: int,
     queue_pairs: int,
     seed: int,
-    qos: str = "",
-) -> List[IoRequest]:
-    """This member's dispatched share of the fleet's tenant traffic.
+    qos: str,
+) -> _Shares:
+    """Dispatch the fleet's whole tenant stream; every device's share.
 
-    Deterministically fans the ``base`` trace out across
-    ``member.tenants`` open-loop tenant streams (the descriptor's burst
-    clause amplifies its adversarial tenant), reschedules the merged
-    global stream through the ``qos`` policy
-    (:func:`repro.fleet.qos.build_qos`; empty = dispatch in arrival
-    order), dispatches it through the member's placement policy, and
-    returns the fragments owned by ``member.index`` as fresh
-    arrival-sorted :class:`~repro.hil.request.IoRequest` objects with
-    device-local offsets and their tenant tags.  May return an empty list
-    (more devices than requests, or a hash placement that routed every
-    tenant elsewhere).
+    Fans ``base`` out across the tenants, sorts the merged stream,
+    applies the QoS policy and places every entry.  Reads everything of
+    ``member`` but its index.  Each device's share is an ``array('q')``
+    of :data:`_FIELDS`-value records in dispatch order, never mutated
+    once returned.
     """
-    if footprint_bytes <= 0:
-        raise ConfigurationError(
-            f"footprint must be positive, got {footprint_bytes}"
-        )
     requests = base.requests
     length = len(requests)
     duration = base.duration_ns
@@ -237,11 +246,10 @@ def member_requests(
     remainder = total % tenants
     rotation = max(1, length // tenants)
     queues = max(1, queue_pairs)
+    codes = [_KIND_CODES[request.kind] for request in requests]
 
     burst_tenant, burst_factor = member.burst_parts()
 
-    # (arrival, tenant, k) is a deterministic total order: the merged
-    # stream sorts identically however tenants are generated.
     merged = []
     for tenant in range(tenants):
         count = base_count + (1 if tenant < remainder else 0)
@@ -273,39 +281,135 @@ def member_requests(
                     arrival,
                     tenant,
                     k,
-                    request.kind,
+                    codes[j],
                     slice_base + (request.offset_bytes % slice_bytes),
                     request.size_bytes,
                     (request.queue_id + tenant) % queues,
                 )
             )
-    merged.sort(key=lambda entry: entry[:3])
+    # (arrival, tenant, k) is a deterministic total order: the merged
+    # stream sorts identically however tenants are generated.  No two
+    # entries share (tenant, k), so plain tuple order is that order.
+    merged.sort()
 
     if qos:
         merged = build_qos(qos, tenants, seed).apply(merged).entries
 
     policy = build_placement(member.placement, member.devices, seed)
-    mine: List[IoRequest] = []
-    for ordinal, (arrival, tenant, _k, kind, offset, size, queue) in enumerate(
+    shares = tuple(array("q") for _ in range(member.devices))
+    for ordinal, (arrival, tenant, _k, code, offset, size, queue) in enumerate(
         merged
     ):
         for device, local, fragment_size in policy.place(
             ordinal, tenant, offset, size
         ):
-            if device != member.index:
-                continue
-            mine.append(
-                IoRequest(
-                    kind=kind,
+            shares[device].extend(
+                (
+                    code,
                     # Fold into the device footprint: non-striped policies
                     # hand back global-space offsets, and striping's fold
                     # can overhang by a partial stripe when the footprint
                     # is not stripe-aligned (uneven boundary stripes).
-                    offset_bytes=local % footprint_bytes,
-                    size_bytes=fragment_size,
-                    arrival_ns=arrival,
-                    queue_id=queue,
-                    tenant=tenant,
+                    local % footprint_bytes,
+                    fragment_size,
+                    arrival,
+                    queue,
+                    tenant,
                 )
             )
-    return mine
+    return shares
+
+
+class _DispatchMemo:
+    """The shares of the last fleet dispatched in this process.
+
+    Holds one fleet.  Every member of a fleet dispatches the same stream,
+    so the key is every dispatch input but the member index.  A new key
+    empties the memo before its dispatch runs, so two fleets' shares are
+    never alive together.  The lock makes concurrent callers of one fleet
+    wait for a single dispatch instead of each running their own.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._key: Optional[tuple] = None
+        self._shares: _Shares = ()
+
+    def shares(self, key: tuple, dispatch: Callable[[], _Shares]) -> _Shares:
+        """The shares for ``key``, running ``dispatch`` on a miss."""
+        with self._lock:
+            if key != self._key:
+                self._key, self._shares = None, ()
+                self._shares = dispatch()
+                self._key = key
+            return self._shares
+
+
+# Process scope, not executor scope: the service runs each member in an
+# execute_specs call of its own, so that every finished member is durable.
+_MEMO = _DispatchMemo()
+
+
+def member_requests(
+    member: FleetMember,
+    base: Trace,
+    footprint_bytes: int,
+    queue_pairs: int,
+    seed: int,
+    qos: str = "",
+) -> List[IoRequest]:
+    """This member's dispatched share of the fleet's tenant traffic.
+
+    Deterministically fans the ``base`` trace out across
+    ``member.tenants`` open-loop tenant streams (the descriptor's burst
+    clause amplifies its adversarial tenant), reschedules the merged
+    global stream through the ``qos`` policy
+    (:func:`repro.fleet.qos.build_qos`; empty = dispatch in arrival
+    order), dispatches it through the member's placement policy, and
+    returns the fragments owned by ``member.index`` as fresh
+    arrival-sorted :class:`~repro.hil.request.IoRequest` objects with
+    device-local offsets and their tenant tags.  May return an empty list
+    (more devices than requests, or a hash placement that routed every
+    tenant elsewhere).
+
+    The dispatch is shared: the process keeps every device's share of the
+    last fleet it dispatched, so the fleet's other members skip straight
+    to building their requests.
+    """
+    if footprint_bytes <= 0:
+        raise ConfigurationError(
+            f"footprint must be positive, got {footprint_bytes}"
+        )
+    key = (
+        member.devices,
+        member.tenants,
+        member.placement,
+        member.burst,
+        tuple(
+            (r.kind, r.offset_bytes, r.size_bytes, r.arrival_ns, r.queue_id)
+            for r in base.requests
+        ),
+        base.duration_ns,
+        footprint_bytes,
+        queue_pairs,
+        seed,
+        qos,
+    )
+    shares = _MEMO.shares(
+        key,
+        lambda: _dispatch(member, base, footprint_bytes, queue_pairs, seed, qos),
+    )
+    records = iter(shares[member.index])
+    return [
+        IoRequest(
+            kind=_KINDS[code],
+            offset_bytes=offset,
+            size_bytes=size,
+            arrival_ns=arrival,
+            queue_id=queue,
+            tenant=tenant,
+        )
+        for code, offset, size, arrival, queue, tenant in zip(
+            *[records] * _FIELDS
+        )
+    ]

@@ -34,8 +34,8 @@ and therefore in its content digest.  Four policies exist:
 
 Every policy is a deterministic function of (spec, tenant count, seed) and
 of the merged stream it is applied to -- never of execution order -- so
-each member device independently reconstructs the identical schedule
-inside its worker process, exactly like placement.
+every worker process reconstructs the identical schedule on its own,
+once per fleet, exactly like placement.
 
 See docs/qos.md for the narrative guide and DESIGN.md §13 for the
 engineering notes.
@@ -56,10 +56,10 @@ DEFAULT_BUCKET_BURST = 8.0
 #: Admitted fraction used when ``slo:<p99_us>`` omits the admit floor.
 DEFAULT_SLO_ADMIT = 0.5
 
-#: One entry of the merged tenant stream, as built by
+#: One entry of the merged tenant stream, as built by the dispatch behind
 #: :func:`repro.fleet.member.member_requests`: ``(arrival_ns, tenant, k,
-#: kind, offset, size, queue)``.  Policies only interpret the first three
-#: fields (the deterministic total order) and carry the rest through.
+#: kind code, offset, size, queue)``.  Policies only interpret the first
+#: three fields (the deterministic total order) and carry the rest through.
 Entry = Tuple
 
 

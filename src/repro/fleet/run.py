@@ -240,8 +240,10 @@ def run_fleet(
 
     A fleet with ``sample=K`` simulates only its K stratified
     representatives and extrapolates the totals (with confidence
-    intervals), so a 1000-device fleet costs the same order of time as a
-    K-device one.
+    intervals).  The representatives share one dispatch of the whole
+    fleet's stream (:func:`~repro.fleet.member.member_requests`), so a
+    1000-device fleet costs K simulations plus one dispatch of
+    ``1000 x len(base)`` requests.
     """
     active = list(fleet.active_members())
     sampled = len(active) < fleet.devices

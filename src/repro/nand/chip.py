@@ -33,6 +33,22 @@ class PageState(enum.Enum):
     INVALID = "invalid"
 
 
+class PageCounter:
+    """A plane's count of allocated pages, shared with its blocks.
+
+    Blocks bump the counter on every allocation-pointer move, so the GC
+    watermark check is O(1) instead of a sum over all blocks on every
+    completed write.  Blocks hold this cell rather than their plane: a
+    block -> plane back-reference would make every device's block graph
+    cyclic garbage that only a full collection frees.
+    """
+
+    __slots__ = ("pages",)
+
+    def __init__(self) -> None:
+        self.pages = 0
+
+
 class FlashBlock:
     """A block: an erase unit holding ``pages_per_block`` pages.
 
@@ -60,11 +76,14 @@ class FlashBlock:
         "erase_count",
         "valid_count",
         "_invalid_count",
-        "plane",
+        "_allocated",
     )
 
     def __init__(
-        self, index: int, pages_per_block: int, plane: "FlashPlane" = None
+        self,
+        index: int,
+        pages_per_block: int,
+        allocated: Optional[PageCounter] = None,
     ) -> None:
         self.index = index
         self.pages_per_block = pages_per_block
@@ -75,11 +94,9 @@ class FlashBlock:
         self.erase_count = 0
         self.valid_count = 0
         self._invalid_count = 0
-        # Owning plane (None for standalone blocks in tests): every
-        # allocation-pointer move is mirrored into the plane's aggregate
-        # counter so the GC watermark check is O(1) instead of a sum over
-        # all blocks on every completed write.
-        self.plane = plane
+        # The owning plane's counter (a private one for standalone blocks):
+        # every allocation-pointer move is mirrored into it.
+        self._allocated = allocated if allocated is not None else PageCounter()
 
     @property
     def write_pointer(self) -> int:
@@ -109,8 +126,7 @@ class FlashBlock:
         page = self.allocation_pointer
         self.allocation_pointer += 1
         self.pending_programs += 1
-        if self.plane is not None:
-            self.plane.allocated_pages += 1
+        self._allocated.pages += 1
         return page
 
     def program_page(self, page: int) -> None:
@@ -123,8 +139,7 @@ class FlashBlock:
                 )
             self.allocation_pointer += 1
             self.pending_programs += 1
-            if self.plane is not None:
-                self.plane.allocated_pages += 1
+            self._allocated.pages += 1
         state = self.page_states[page]
         if state is PageState.VALID:
             raise NandProtocolError(
@@ -171,8 +186,7 @@ class FlashBlock:
                 f"block {self.index}: erase with {self.pending_programs} "
                 "in-flight programs"
             )
-        if self.plane is not None:
-            self.plane.allocated_pages -= self.allocation_pointer
+        self._allocated.pages -= self.allocation_pointer
         self.page_states = [PageState.FREE] * self.pages_per_block
         self.allocation_pointer = 0
         self.programmed_count = 0
@@ -225,20 +239,19 @@ class FlashBlock:
         self.erase_count = erase_count
         self.valid_count = pages.count("v")
         self._invalid_count = filled - self.valid_count
-        if self.plane is not None:
-            self.plane.allocated_pages += filled
+        self._allocated.pages += filled
 
 
 class FlashPlane:
     """A plane: blocks_per_plane blocks sharing sense amplifiers."""
 
-    __slots__ = ("index", "blocks", "reads", "programs", "erases", "allocated_pages")
+    __slots__ = ("index", "blocks", "reads", "programs", "erases", "_allocated")
 
     def __init__(self, index: int, geometry: NandGeometry) -> None:
         self.index = index
-        self.allocated_pages = 0  # maintained by the blocks' pointer moves
+        self._allocated = PageCounter()  # maintained by the blocks
         self.blocks: List[FlashBlock] = [
-            FlashBlock(block, geometry.pages_per_block, plane=self)
+            FlashBlock(block, geometry.pages_per_block, self._allocated)
             for block in range(geometry.blocks_per_plane)
         ]
         self.reads = 0
@@ -249,8 +262,13 @@ class FlashPlane:
         return self.blocks[index]
 
     @property
+    def allocated_pages(self) -> int:
+        """Pages handed out across the plane's blocks since their erase."""
+        return self._allocated.pages
+
+    @property
     def free_pages(self) -> int:
-        return self.total_pages - self.allocated_pages
+        return self.total_pages - self._allocated.pages
 
     @property
     def valid_pages(self) -> int:

@@ -1,9 +1,16 @@
 """Fleet member descriptors and the tenant traffic fan-out."""
 
+import sys
+import threading
+
 import pytest
 
+import repro.fleet.member as member_module
 from repro.errors import ConfigurationError
+from repro.experiments.spec import ExperimentScale
 from repro.fleet.member import FleetMember, member_requests
+from repro.fleet.placement import LbaStripingPlacement
+from repro.fleet.spec import make_fleet_spec
 from repro.hil.request import IoKind, IoRequest
 from repro.workloads.trace import Trace
 
@@ -210,3 +217,153 @@ def test_member_requests_rejects_non_positive_footprint():
                          placement="round-robin")
     with pytest.raises(ConfigurationError, match="footprint"):
         member_requests(member, _base_trace(), 0, queue_pairs=1, seed=1)
+
+
+# --------------------------------------------------------------------- #
+# the shared dispatch
+# --------------------------------------------------------------------- #
+
+def _fields(requests):
+    return [
+        (r.kind, r.offset_bytes, r.size_bytes, r.arrival_ns, r.queue_id,
+         r.tenant)
+        for r in requests
+    ]
+
+
+def _clear_memo(monkeypatch):
+    monkeypatch.setattr(
+        member_module, "_MEMO", member_module._DispatchMemo()
+    )
+
+
+def _cold_and_warm(monkeypatch, calls):
+    """Each call's fields from a cleared memo, then all from one warm memo."""
+    cold = []
+    for call in calls:
+        _clear_memo(monkeypatch)
+        cold.append(_fields(call()))
+    _clear_memo(monkeypatch)
+    warm = [_fields(call()) for call in calls]
+    return cold, warm
+
+
+def test_sampled_fleet_members_match_a_cleared_memo(monkeypatch):
+    """Stripe splitting, WFQ and a burst clause: warm == cold, per member."""
+    fleet = make_fleet_spec(
+        "venice", "performance-optimized", "hm_0",
+        ExperimentScale(requests=60, requests_per_mix_constituent=50, seed=42),
+        devices=16, sample=4, placement="stripe:4096", tenants=4,
+        qos="wfq:4,1,1,1", burst="0x4",
+    )
+    members = list(fleet.active_members())
+    assert len(members) == 4
+    cold, warm = _cold_and_warm(
+        monkeypatch, [spec.fleet_requests for spec in members]
+    )
+    assert warm == cold
+    assert all(cold)
+    # stripe:4096 splits requests that cross a stripe boundary
+    assert any(size < 4096 for share in cold for _, _, size, _, _, _ in share)
+
+
+def test_hash_tenant_empty_shares_match_a_cleared_memo(monkeypatch):
+    base = _base_trace()
+    calls = [
+        lambda i=i: member_requests(
+            FleetMember(index=i, devices=4, tenants=1,
+                        placement="hash-tenant"),
+            base, 1 << 21, 4, seed=42,
+        )
+        for i in range(4)
+    ]
+    cold, warm = _cold_and_warm(monkeypatch, calls)
+    assert warm == cold
+    assert sorted(len(share) for share in cold) == [0, 0, 0, 4 * 24]
+
+
+def test_shared_dispatch_returns_fresh_requests():
+    base = _base_trace()
+    member = FleetMember(index=1, devices=2, tenants=4, placement="round-robin")
+    first = member_requests(member, base, 1 << 21, 4, seed=42)
+    first[0].arrival_ns += 1  # a simulation may mutate what it is handed
+    second = member_requests(member, base, 1 << 21, 4, seed=42)
+    assert first and len(first) == len(second)
+    assert all(a is not b for a, b in zip(first, second))
+    assert second[0].arrival_ns == first[0].arrival_ns - 1
+    assert len({r.request_id for r in first + second}) == 2 * len(first)
+
+
+def test_second_member_makes_no_placement_call(monkeypatch):
+    base = _base_trace(size=48 * 1024)
+    calls = []
+    place = LbaStripingPlacement.place
+
+    def counted_place(self, *args):
+        calls.append(args)
+        return place(self, *args)
+
+    monkeypatch.setattr(LbaStripingPlacement, "place", counted_place)
+    _clear_memo(monkeypatch)
+
+    def member(index):
+        return FleetMember(index=index, devices=3, tenants=5,
+                           placement="stripe:4096")
+
+    member_requests(member(0), base, 1 << 21, 4, seed=42, qos="wfq:2,1")
+    assert len(calls) == 3 * len(base.requests)
+    member_requests(member(1), base, 1 << 21, 4, seed=42, qos="wfq:2,1")
+    assert len(calls) == 3 * len(base.requests)
+    # Any other dispatch input is another fleet: it dispatches again.
+    member_requests(member(1), base, 1 << 21, 4, seed=43, qos="wfq:2,1")
+    assert len(calls) == 6 * len(base.requests)
+
+
+def test_concurrent_members_of_two_fleets_match_serial_results(monkeypatch):
+    base = _base_trace()
+    fleets = [
+        lambda i: FleetMember(index=i, devices=4, tenants=4,
+                              placement="stripe:4096", burst="1x2"),
+        lambda i: FleetMember(index=i, devices=4, tenants=3,
+                              placement="round-robin"),
+    ]
+
+    def call(fleet, index):
+        return _fields(member_requests(
+            fleets[fleet](index), base, 1 << 21, 4, seed=42, qos="wfq:3,1"
+        ))
+
+    reference = {}
+    for fleet in range(2):
+        for index in range(4):
+            _clear_memo(monkeypatch)
+            reference[fleet, index] = call(fleet, index)
+    results, errors = [], []
+
+    def worker(thread):
+        try:
+            for round_ in range(20):
+                fleet = (thread + round_) % 2
+                index = thread % 4
+                results.append(((fleet, index), call(fleet, index)))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(thread,))
+            for thread in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8 * 20
+    for key, fields in results:
+        assert fields == reference[key]

@@ -303,3 +303,29 @@ def test_qos_free_fleet_results_are_byte_identical():
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
     assert payload_sha == PINNED_FLEET_PAYLOAD_SHA
+
+
+# A sampled fleet that runs every dispatch stage -- burst fan-out, WFQ and
+# stripe splitting -- pinned before members began sharing one dispatch.
+PINNED_STAGED_FLEET_DIGEST = (
+    "95fa94fe171f4773413d1c217f7b5fb928ded91ff77fda1e179dec6ef4998800"
+)
+PINNED_STAGED_FLEET_PAYLOAD_SHA = (
+    "5c09dfeb49e99f146b18695710dbe3433ec01b8be6e233718d75a163982cb825"
+)
+
+
+def test_sampled_fleet_through_every_dispatch_stage_is_pinned():
+    fleet = make_fleet_spec(
+        "venice", "performance-optimized", "hm_0", SCALE,
+        devices=16, sample=4, placement="stripe", tenants=4,
+        qos="wfq:4,1,1,1", burst="0x4",
+    )
+    assert fleet.digest == PINNED_STAGED_FLEET_DIGEST
+    payload = run_fleet(fleet, executor=SerialExecutor())
+    assert payload["sampled_member_indices"] == [1, 6, 8, 13]
+    assert payload["qos"] == "wfq:4,1,1,1" and payload["burst"] == "0x4"
+    payload_sha = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, default=str).encode()
+    ).hexdigest()
+    assert payload_sha == PINNED_STAGED_FLEET_PAYLOAD_SHA

@@ -1,10 +1,13 @@
 """Die / chip / array behaviour tests."""
 
+import gc
+
 import pytest
 
-from repro.config.ssd_config import NandGeometry, NandTimings
+from repro.config.ssd_config import DesignKind, NandGeometry, NandTimings
 from repro.config.presets import performance_optimized
 from repro.errors import NandProtocolError
+from repro.experiments.spec import ExperimentScale, make_spec
 from repro.nand.address import ChipAddress, PhysicalPageAddress
 from repro.nand.array import FlashArray
 from repro.nand.chip import FlashChip
@@ -146,6 +149,27 @@ def test_array_iter_planes_count():
     assert sum(1 for _ in array.iter_planes()) == config.geometry.planes_total
 
 
+@pytest.mark.parametrize("design", [design.value for design in DesignKind])
+def test_finished_device_leaves_no_cyclic_garbage(design):
+    """A dropped device is freed by reference counting alone.
+
+    Blocks share a counter cell with their plane instead of pointing back
+    at it, so no device structure waits for a full collection.
+    """
+    spec = make_spec(
+        design, "performance-optimized", "hm_0",
+        ExperimentScale(requests=40, requests_per_mix_constituent=20, seed=42),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        spec.execute()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
 class TestBlockRestore:
     """FlashBlock.restore: the checkpoint deserialization path."""
 
@@ -153,14 +177,16 @@ class TestBlockRestore:
         return make_chip().die(0).planes[0].block(0)
 
     def test_restore_rebuilds_counters_and_plane_accounting(self):
-        block = self._block()
+        plane = make_chip().die(0).planes[0]
+        block = plane.block(0)
         block.restore("vviv", erase_count=3)
         assert block.allocation_pointer == 4
         assert block.programmed_count == 4
         assert block.valid_count == 3
         assert block.invalid_count == 1
         assert block.erase_count == 3
-        assert block.plane.allocated_pages == 4
+        assert plane.allocated_pages == 4
+        assert plane.free_pages == plane.total_pages - 4
 
     def test_restore_matches_the_equivalent_program_sequence(self):
         restored = self._block()
