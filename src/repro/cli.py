@@ -37,15 +37,14 @@ Subcommands:
   checkpoint counts, byte totals, and session cache counters; ``verify``
   checks every entry's content hash against its digest key (``--repair``
   quarantines mismatches); ``gc`` drops quarantined entries and stale
-  temp files; ``compact`` minifies JSON entries / VACUUMs the sqlite
-  backend,
+  temp files; ``compact`` minifies the JSON entries,
 * ``worker``  -- drain a crash-safe work queue (docs/distributed.md):
   lease tasks by spec digest, heartbeat while simulating, write results
   into the queue's bound store, retry with exponential backoff,
 * ``queue``   -- work-queue observability: ``status`` (task-state
   counts), ``dead`` (dead-lettered tasks with captured tracebacks),
 * ``list``    -- enumerate workloads, mixes, designs, presets, formats,
-  placements, store backends.
+  placements, QoS policies.
 
 ``figure|matrix|faults sweep|fleet sweep --queue DIR`` run their spec
 batch through the work queue instead of an in-process executor: the sweep
@@ -53,8 +52,7 @@ enqueues, participates, and waits, while any number of ``venice-sim
 worker --queue DIR`` processes -- on this or other hosts sharing the
 directory -- share the load.  A sweep whose workers are killed mid-run
 completes on re-run with zero lost and zero duplicated simulations.
-``--timeout SECONDS`` bounds each simulation's wall clock everywhere;
-``--store-backend flat|sharded|sqlite`` picks the result-store layout.
+``--timeout SECONDS`` bounds each simulation's wall clock everywhere.
 
 ``figure --faults SCHEDULE`` regenerates any figure on a degraded fabric
 (the same schedule applied to every run).  ``figure --warmup SPEC
@@ -88,7 +86,7 @@ from repro.experiments.executor import execute_specs, make_executor
 from repro.experiments.reporting import format_table, speedup_table
 from repro.experiments.runner import ExperimentScale, make_spec, run_suite
 from repro.experiments.spec import TRACE_WORKLOAD_PREFIX
-from repro.experiments.store import BACKEND_NAMES, ResultStore
+from repro.experiments.store import ResultStore
 from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
 from repro.workloads.catalog import workload_names
@@ -125,13 +123,6 @@ def _add_orchestration_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="content-addressed result store; repeat runs are read from it",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="result-store layout (auto detects an existing store; new "
-        "stores default to flat)",
     )
     parser.add_argument(
         "--timeout",
@@ -671,7 +662,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_compact = store_sub.add_parser(
         "compact",
-        help="rewrite storage compactly (minify JSON / VACUUM sqlite)",
+        help="rewrite every entry as minified JSON",
     )
     store_compact.add_argument(
         "--cache", required=True, metavar="DIR",
@@ -749,12 +740,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 2)",
     )
     serve.add_argument(
-        "--store-backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="result-store layout for the service store (auto detects)",
-    )
-    serve.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-spec wall-clock limit inside job execution",
     )
@@ -788,9 +773,7 @@ def _store(args: argparse.Namespace) -> Optional[ResultStore]:
     if not getattr(args, "cache", None):
         return None
     try:
-        return ResultStore(
-            args.cache, backend=getattr(args, "store_backend", "auto")
-        )
+        return ResultStore(args.cache)
     except OSError as error:
         raise ConfigurationError(
             f"cannot use {args.cache!r} as a cache directory: {error}"
@@ -817,7 +800,6 @@ def _orchestration(args: argparse.Namespace):
         queue = WorkQueue(
             queue_dir,
             store_dir=getattr(args, "cache", None),
-            store_backend=getattr(args, "store_backend", "auto"),
             lease_seconds=getattr(args, "lease", 30.0),
             max_attempts=getattr(args, "max_attempts", 3),
         )
@@ -1626,8 +1608,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(
-            f"checked {report['checked']} entries "
-            f"({report['backend']} layout): {report['ok']} ok, "
+            f"checked {report['checked']} entries: {report['ok']} ok, "
             f"{len(report['corrupt'])} corrupt, "
             f"{report['quarantined']} quarantined"
         )
@@ -1735,7 +1716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             jobs=args.jobs,
-            store_backend=args.store_backend,
             timeout=args.timeout,
             verbose=args.verbose,
         )
@@ -1766,7 +1746,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "formats": list(trace_formats.format_names()),
         "placements": list(placement_names()),
         "qos": list(qos_names()),
-        "backends": list(BACKEND_NAMES),
     }
     if args.json:
         print(json.dumps(catalog, indent=2))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -256,8 +256,3 @@ class SsdConfig:
             f"page={geometry.page_size}B, tR={self.timings.read_ns}ns, "
             f"tPROG={self.timings.program_ns}ns, tBERS={self.timings.erase_ns}ns"
         )
-
-
-def mesh_shape_for(config: SsdConfig) -> Tuple[int, int]:
-    """(rows, cols) of the Venice/NoSSD mesh for a given SSD config."""
-    return config.mesh_rows, config.mesh_cols

@@ -7,7 +7,7 @@ The orchestration stack, bottom-up:
 * :mod:`repro.experiments.executor` -- serial and multiprocessing backends
   that execute spec sets (rebuilding everything inside each worker);
 * :mod:`repro.experiments.store` -- the content-addressed JSON result store
-  keyed by spec digest (flat / sharded / SQLite layouts), so repeated
+  keyed by spec digest (one ``<digest>.json`` file per entry), so repeated
   invocations reuse prior runs;
 * :mod:`repro.experiments.queue` / :mod:`repro.experiments.worker` -- the
   crash-safe filesystem work queue and its worker / executor front ends,
@@ -57,11 +57,10 @@ from repro.experiments.runner import (
 )
 from repro.experiments.queue import Task, WorkQueue, default_owner_id
 from repro.experiments.spec import RunSpec, make_spec, matrix_specs
-from repro.experiments.store import BACKEND_NAMES, ResultStore, StoreBackend
+from repro.experiments.store import ResultStore
 from repro.experiments.worker import QueueExecutor, QueueWorker
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExperimentScale",
     "FIGURE_NAMES",
     "FIGURES",
@@ -71,7 +70,6 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "SerialExecutor",
-    "StoreBackend",
     "Task",
     "TimelineExample",
     "WorkQueue",

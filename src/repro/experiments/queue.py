@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import QueueError
 from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
+from repro.fileio import atomic_write_text
 
 _CONFIG_FILENAME = "queue.json"
 _CONFIG_SCHEMA = 1
@@ -66,9 +67,7 @@ def default_owner_id() -> str:
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
     """Write-then-rename publication (readers never see a torn file)."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp")
-    tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, indent=1))
 
 
 def _read_json(path: Path) -> Optional[dict]:
@@ -105,7 +104,6 @@ class WorkQueue:
         directory: Union[str, Path],
         *,
         store_dir: Optional[Union[str, Path]] = None,
-        store_backend: str = "auto",
         lease_seconds: float = 30.0,
         max_attempts: int = 3,
         retry_delay: float = 1.0,
@@ -136,8 +134,9 @@ class WorkQueue:
                     f"{existing.get('schema')!r}; this version speaks "
                     f"{_CONFIG_SCHEMA}"
                 )
+            # A queue.json from an earlier version also names the store's
+            # layout; only the flat layout remains, so that field is ignored.
             self.store_dir = Path(existing["store_dir"])
-            self.store_backend = str(existing["store_backend"])
             self.lease_seconds = float(existing["lease_seconds"])
             self.max_attempts = int(existing["max_attempts"])
             self.retry_delay = float(existing["retry_delay"])
@@ -161,10 +160,9 @@ class WorkQueue:
             self.store_dir = Path(
                 store_dir if store_dir is not None else self.directory / "store"
             )
-            # Resolve "auto" now so every later participant opens the same
-            # layout even if the store directory is still empty today.
-            probe = ResultStore(self.store_dir, backend=store_backend)
-            self.store_backend = probe.backend_name
+            # Open the store now, so a retired store layout fails before
+            # queue.json freezes a binding to it.
+            ResultStore(self.store_dir)
             self.lease_seconds = float(lease_seconds)
             self.max_attempts = int(max_attempts)
             self.retry_delay = float(retry_delay)
@@ -174,7 +172,6 @@ class WorkQueue:
                 {
                     "schema": _CONFIG_SCHEMA,
                     "store_dir": str(self.store_dir),
-                    "store_backend": self.store_backend,
                     "lease_seconds": self.lease_seconds,
                     "max_attempts": self.max_attempts,
                     "retry_delay": self.retry_delay,
@@ -201,7 +198,7 @@ class WorkQueue:
 
     def result_store(self) -> ResultStore:
         """Open the result store this queue is bound to."""
-        return ResultStore(self.store_dir, backend=self.store_backend)
+        return ResultStore(self.store_dir)
 
     # -- enqueue --------------------------------------------------------- #
 
@@ -452,7 +449,6 @@ class WorkQueue:
         return {
             "directory": str(self.directory),
             "store_dir": str(self.store_dir),
-            "store_backend": self.store_backend,
             "lease_seconds": self.lease_seconds,
             "max_attempts": self.max_attempts,
             "tasks": len(tasks),

@@ -115,9 +115,3 @@ class DramCache:
         """Fraction of reads served from DRAM (0.0 before any read)."""
         total = self.read_hits + self.read_misses
         return self.read_hits / total if total else 0.0
-
-    @property
-    def write_hit_rate(self) -> float:
-        """Fraction of writes absorbed by DRAM (0.0 before any write)."""
-        total = self.write_hits + self.write_misses
-        return self.write_hits / total if total else 0.0

@@ -69,10 +69,6 @@ class Ftl:
         """Host-visible logical page count (physical minus over-provisioning)."""
         return self.mapping.total_logical_pages
 
-    def lpn_of(self, byte_offset: int) -> int:
-        """Map a host byte offset onto its logical page number."""
-        return (byte_offset // self.geometry.page_size) % self.logical_pages
-
     def lpns_for(self, byte_offset: int, size_bytes: int) -> List[int]:
         """Logical pages touched by a [offset, offset+size) byte range."""
         if size_bytes <= 0:

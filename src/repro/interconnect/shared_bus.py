@@ -124,9 +124,6 @@ class BaselineFabric(Fabric):
         self._record(outcome, payload_bytes)
         return outcome
 
-    def channel_utilizations(self, horizon: int) -> List[float]:
-        return [channel.utilization(horizon) for channel in self.channels]
-
 
 class PssdFabric(BaselineFabric):
     """Packetized SSD: same shared buses at 2x effective bandwidth."""

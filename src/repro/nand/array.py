@@ -43,9 +43,6 @@ class FlashArray:
     def chip(self, address: ChipAddress) -> FlashChip:
         return self._by_address[address]
 
-    def chip_by_flat(self, index: int) -> FlashChip:
-        return self.chips[index]
-
     def die_for(self, address: PhysicalPageAddress) -> FlashDie:
         chip = address.chip
         return self._dies_flat[
@@ -100,11 +97,3 @@ class FlashArray:
 
     def total_free_pages(self) -> int:
         return sum(plane.free_pages for _, _, plane in self.iter_planes())
-
-    def max_erase_count(self) -> int:
-        counts = [
-            block.erase_count
-            for _, _, plane in self.iter_planes()
-            for block in plane.blocks
-        ]
-        return max(counts) if counts else 0

@@ -17,7 +17,7 @@ and a die ``Resource`` but never touches the event loop itself beyond that.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config.ssd_config import NandGeometry, NandTimings
 from repro.errors import NandProtocolError
@@ -398,13 +398,6 @@ class FlashChip:
     @property
     def flat_index(self) -> int:
         return self.address.flat_index(self.geometry)
-
-    def erase_counts(self) -> Dict[int, int]:
-        """Total erase count per die (wear statistics)."""
-        return {
-            die.index: sum(block.erase_count for plane in die.planes for block in plane.blocks)
-            for die in self.dies
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlashChip({self.address.channel},{self.address.way})"

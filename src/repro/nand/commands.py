@@ -21,14 +21,6 @@ class FlashCommandKind(enum.Enum):
     def is_read(self) -> bool:
         return self is FlashCommandKind.READ
 
-    @property
-    def is_program(self) -> bool:
-        return self is FlashCommandKind.PROGRAM
-
-    @property
-    def is_erase(self) -> bool:
-        return self is FlashCommandKind.ERASE
-
 
 @dataclass
 class FlashCommand:

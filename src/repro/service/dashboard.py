@@ -4,7 +4,7 @@ One self-contained HTML page -- no external assets, no CDN, nothing to
 install -- that polls the JSON API the service already exposes
 (``/health``, ``/v1/jobs``, ``/v1/runs/<id>``) and renders:
 
-* a service header (uptime, worker pool, store backend, cache counters),
+* a service header (uptime, worker pool, store size, cache counters),
 * the job table (state, kind, label, attempts, simulations performed),
 * throughput and p99-latency bar charts over the most recent completed
   runs, drawn as inline SVG.
@@ -69,8 +69,8 @@ function renderMeta(health) {
   document.getElementById("meta").textContent =
     "pid " + health.pid + " | up " + Math.round(health.uptime_seconds) +
     "s | workers " + pool.workers + " (busy " + pool.busy + ", backlog " +
-    pool.backlog + ") | store " + store.backend + ": " +
-    store.results + " results | session: " + session.simulations +
+    pool.backlog + ") | store: " + store.results +
+    " results | session: " + session.simulations +
     " simulated, " + session.cache_hits + " cache hits, " +
     session.jobs_done + " done, " + session.jobs_failed + " failed";
 }

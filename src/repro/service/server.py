@@ -43,6 +43,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.errors import ExecutionError, ServiceError
 from repro.experiments.executor import SerialExecutor, execute_specs
 from repro.experiments.store import ResultStore
+from repro.fileio import atomic_write_text
 from repro.service.jobs import JobStore
 from repro.service.routes import ServiceRequestHandler
 from repro.service.schema import Job, job_from_record
@@ -66,7 +67,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     jobs: int = 2
-    store_backend: str = "auto"
     timeout: Optional[float] = None
     verbose: bool = False
 
@@ -101,11 +101,9 @@ class SimulationService:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.job_store = JobStore(self.state_dir / "service.sqlite3")
         self.store_dir = self.state_dir / "store"
-        # Resolve "auto" once at boot so every per-job store opens the
-        # same layout even if files appear mid-flight.
-        self.store_backend = ResultStore(
-            self.store_dir, backend=config.store_backend
-        ).backend_name
+        # Open the store at boot, so a retired store layout fails here
+        # rather than in every job.
+        ResultStore(self.store_dir)
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._workers: Tuple[threading.Thread, ...] = ()
         self._httpd: Optional[_Server] = None
@@ -152,7 +150,7 @@ class SimulationService:
         self._write_discovery()
         self.log(
             f"serving on http://{self.host}:{self.port} "
-            f"({len(self._workers)} workers, store={self.store_backend})"
+            f"({len(self._workers)} workers)"
         )
 
     def serve_forever(self) -> None:
@@ -207,10 +205,9 @@ class SimulationService:
             "pid": os.getpid(),
             "started_at": self._started_at,
         }
-        path = self.state_dir / DISCOVERY_FILE
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=1) + "\n")
-        os.replace(tmp, path)
+        atomic_write_text(
+            self.state_dir / DISCOVERY_FILE, json.dumps(payload, indent=1) + "\n"
+        )
 
     def log(self, message: str) -> None:
         """One stderr line per event when ``--verbose``; silent otherwise."""
@@ -263,7 +260,7 @@ class SimulationService:
             raise ServiceError(f"no record for claimed job {job_id[:12]}")
         # A fresh store per job makes `simulated` a pure delta: every
         # write this store performs belongs to this job.
-        store = ResultStore(self.store_dir, backend=self.store_backend)
+        store = ResultStore(self.store_dir)
         executor = SerialExecutor(timeout=self.config.timeout)
         try:
             # Rebuild inside the guard: a corrupt persisted record must
@@ -336,7 +333,7 @@ class SimulationService:
         with self._lock:
             busy = self._busy
             session = dict(self._session)
-        store = ResultStore(self.store_dir, backend=self.store_backend)
+        store = ResultStore(self.store_dir)
         return {
             "status": "ok",
             "pid": os.getpid(),
@@ -350,10 +347,7 @@ class SimulationService:
                 "busy": busy,
                 "backlog": self._queue.qsize(),
             },
-            "store": {
-                "backend": self.store_backend,
-                "results": len(store),
-            },
+            "store": {"results": len(store)},
             "session": session,
         }
 

@@ -33,13 +33,13 @@ checkpointed run bit-identical to a cold run of the same spec.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, NandProtocolError, SimulationError
+from repro.fileio import atomic_write_text
 from repro.nand.chip import PageState
 
 #: Snapshot payload format version; bumped on incompatible layout changes.
@@ -314,11 +314,8 @@ class CheckpointStore:
         self._memory[digest] = state
         self.writes += 1
         if self.directory is not None:
-            path = self.path_for(digest)
-            tmp = path.with_suffix(".json.tmp")
             payload = {"digest": digest, "state": state}
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, path)
+            atomic_write_text(self.path_for(digest), json.dumps(payload))
 
     def __contains__(self, digest: str) -> bool:
         if digest in self._memory:

@@ -137,10 +137,6 @@ class Lfsr2:
             self.state = 0b01
         return self.state
 
-    def next_bit(self) -> int:
-        """One pseudo-random bit (the LSB of the next state)."""
-        return self.step() & 1
-
     def pick(self, count: int) -> int:
         """Index in [0, count) chosen by the LFSR stream."""
         if count <= 0:

@@ -93,11 +93,6 @@ class RunningStat:
             return 0.0
         return self._m2 / (self.count - 1)
 
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunningStat(n={self.count}, mean={self.mean:.3f})"
 

@@ -62,7 +62,8 @@ class VeniceFabric(Fabric):
         # accounting beyond FabricStats
         self.fc_waits = 0
         self.retries_exhausted = 0
-        self.circuit_hop_histogram: List[int] = []
+        self.circuit_hops_total = 0
+        self.circuits_completed = 0
         self.active_circuits_per_fc: List[int] = [0] * config.flash_controllers
         # Per-home-row FC order by (distance, index); the load tie-break is
         # applied at transfer time with a stable sort over this base order.
@@ -353,7 +354,8 @@ class VeniceFabric(Fabric):
         self.active_circuits_per_fc[fc_index] -= 1
         self._notify_release()
 
-        self.circuit_hop_histogram.append(circuit.total_hops)
+        self.circuit_hops_total += circuit.total_hops
+        self.circuits_completed += 1
         self.stats.link_hop_busy_ns += occupancy * max(1, circuit.mesh_hops)
         self.stats.router_active_ns += occupancy * len(circuit.nodes)
 
@@ -388,6 +390,6 @@ class VeniceFabric(Fabric):
         return 1.0 - self.stats.conflicted_transfers / self.stats.transfers
 
     def mean_circuit_hops(self) -> float:
-        if not self.circuit_hop_histogram:
+        if not self.circuits_completed:
             return 0.0
-        return sum(self.circuit_hop_histogram) / len(self.circuit_hop_histogram)
+        return self.circuit_hops_total / self.circuits_completed

@@ -195,9 +195,6 @@ class VeniceNetwork:
     # link state queries
     # ------------------------------------------------------------------ #
 
-    def link_free(self, a: Coord, b: Coord) -> bool:
-        return edge_key(a, b) not in self.link_owner
-
     def ejection_free(self, node: Coord) -> bool:
         return node not in self.ejection_owner
 

@@ -10,14 +10,12 @@ from repro.errors import ExecutionError, QueueError, SpecRunError
 from repro.experiments.executor import SerialExecutor, execute_spec, execute_specs
 from repro.experiments.queue import WorkQueue, default_owner_id
 from repro.experiments.spec import make_spec
-from repro.experiments.store import BACKEND_NAMES
 from repro.experiments.worker import (
     QueueExecutor,
     QueueWorker,
     _HeartbeatThread,
 )
-from test_store import SCALE, sample_result
-from test_store_backends import corrupt_entry
+from test_store import SCALE, corrupt_entry, sample_result
 
 SPECS = [
     make_spec(design, "performance-optimized", "proj_3", SCALE)
@@ -159,16 +157,26 @@ def test_task_dead_letters_after_max_attempts_with_captured_errors(tmp_path):
 
 
 def test_queue_config_is_frozen_at_creation(tmp_path):
-    queue = make_queue(
-        tmp_path, store_backend="sqlite", lease_seconds=7.0, max_attempts=4
-    )
+    queue = make_queue(tmp_path, lease_seconds=7.0, max_attempts=4)
     # Later participants pick the frozen policy up from queue.json alone.
     reopened = WorkQueue(queue.directory)
-    assert reopened.store_backend == "sqlite"
     assert reopened.lease_seconds == 7.0
     assert reopened.max_attempts == 4
     assert reopened.store_dir == queue.store_dir
-    assert reopened.result_store().backend_name == "sqlite"
+    assert reopened.result_store().directory == queue.store_dir
+
+
+def test_queue_ignores_the_store_layout_an_older_queue_json_names(tmp_path):
+    queue = make_queue(tmp_path)
+    config_path = queue.directory / "queue.json"
+    config = json.loads(config_path.read_text())
+    config["store_backend"] = "sqlite"
+    config_path.write_text(json.dumps(config))
+    reopened = WorkQueue(queue.directory)
+    assert reopened.store_dir == queue.store_dir
+    assert "store_backend" not in reopened.status()
+    reopened.result_store().put(SPECS[0], sample_result())
+    assert list(queue.store_dir.glob("*.json"))  # the flat layout
 
 
 def test_queue_refuses_a_conflicting_store_binding(tmp_path):
@@ -245,20 +253,15 @@ def test_worker_dead_letters_a_spec_that_keeps_failing(tmp_path, monkeypatch):
     assert "sim exploded" in letter["errors"][-1]
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_queued_sweep_matches_serial_execution(tmp_path, backend):
+def test_queued_sweep_matches_serial_execution(tmp_path):
     serial = execute_specs(SPECS, executor=SerialExecutor())
-    queue = make_queue(tmp_path, store_backend=backend)
+    queue = make_queue(tmp_path)
     executor = QueueExecutor(queue)
     queued = execute_specs(SPECS, executor=executor, store=executor.worker.store)
     assert queued == serial  # bit-identical results through the queue
-    assert queue.result_store().backend_name == backend
     # A warm re-run through a *fresh* queue bound to the same store
     # completes without a single new simulation or store write.
-    rerun_queue = WorkQueue(
-        tmp_path / "queue-rerun", store_dir=queue.store_dir,
-        store_backend=backend,
-    )
+    rerun_queue = WorkQueue(tmp_path / "queue-rerun", store_dir=queue.store_dir)
     rerun = QueueExecutor(rerun_queue)
     warm = execute_specs(SPECS, executor=rerun, store=rerun.worker.store)
     assert warm == serial

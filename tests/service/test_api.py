@@ -18,8 +18,7 @@ def test_health_reports_pool_store_and_job_counts(daemon):
     assert health["status"] == "ok"
     assert health["pid"] > 0
     assert health["pool"] == {"workers": 2, "busy": 0, "backlog": 0}
-    assert health["store"]["backend"] in ("flat", "sharded", "sqlite")
-    assert health["store"]["results"] == 0
+    assert health["store"] == {"results": 0}
     assert health["jobs"] == {
         "queued": 0, "running": 0, "done": 0, "failed": 0,
     }

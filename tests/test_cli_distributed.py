@@ -20,7 +20,6 @@ def test_queued_figure_is_byte_identical_to_direct(tmp_path, capsys):
     queued_argv = direct_argv + [
         "--cache", str(tmp_path / "store"),
         "--queue", str(tmp_path / "q"),
-        "--store-backend", "sharded",
         "--lease", "10", "--max-attempts", "2",
     ]
     assert main(queued_argv) == 0
@@ -32,7 +31,6 @@ def test_queued_figure_is_byte_identical_to_direct(tmp_path, capsys):
     status = json.loads(capsys.readouterr().out)
     assert status["done"] == status["tasks"] > 0
     assert status["dead"] == 0
-    assert status["store_backend"] == "sharded"
     assert status["lease_seconds"] == 10.0
 
     # Warm re-run through the same queue: still byte-identical.
@@ -122,8 +120,3 @@ def test_store_maintenance_lifecycle(tmp_path, capsys):
     capsys.readouterr()
     assert main(["store", "verify", "--cache", cache]) == 0
     assert "1 ok" in capsys.readouterr().out
-
-
-def test_list_shows_store_backends(capsys):
-    assert main(["list"]) == 0
-    assert "backends:   flat, sharded, sqlite" in capsys.readouterr().out

@@ -23,8 +23,8 @@ def test_list_json_is_the_machine_readable_catalog(capsys):
     assert main(["list", "--json"]) == 0
     catalog = json.loads(capsys.readouterr().out)
     assert sorted(catalog) == [
-        "backends", "designs", "formats", "mixes", "placements",
-        "presets", "qos", "workloads",
+        "designs", "formats", "mixes", "placements", "presets", "qos",
+        "workloads",
     ]
     assert "venice" in catalog["designs"]
     assert "hm_0" in catalog["workloads"]
@@ -76,5 +76,5 @@ def test_queue_status_json_contract(tmp_path, capsys):
     assert status["expired_leases"] == 0
     assert status["lease_seconds"] == 15.0
     assert status["max_attempts"] == 2
-    assert status["store_backend"]
+    assert status["store_dir"] == str(tmp_path / "store")
     assert status["directory"] == str(queue_dir)
