@@ -13,7 +13,7 @@ the §8 discussion says Venice's path diversity helps schedule around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.config.ssd_config import SsdConfig
 from repro.controller.pipeline import TransactionPipeline
@@ -25,7 +25,6 @@ from repro.controller.transaction import (
 from repro.errors import GarbageCollectionError
 from repro.ftl.allocator import PageAllocator
 from repro.ftl.mapping import MappingTable
-from repro.nand.address import PhysicalPageAddress
 from repro.nand.array import FlashArray
 from repro.nand.chip import PageState
 from repro.sim.engine import Engine
@@ -158,32 +157,15 @@ class GarbageCollector:
 
     def _reclaim_block(self, plane_flat: int, victim_block: int) -> Generator:
         """Steps 2-4 of the paper's GC description for one victim block."""
-        plane = self.allocator.plane(plane_flat)
-        block = plane.block(victim_block)
+        block = self.allocator.plane(plane_flat).block(victim_block)
         geometry = self.array.geometry
         page_size = geometry.page_size
 
-        # Reconstruct the victim's physical addresses from the plane index.
-        die_flat, plane_index = divmod(plane_flat, geometry.planes_per_die)
-        chip_flat, die_index = divmod(die_flat, geometry.dies_per_chip)
-        from repro.nand.address import ChipAddress  # local to avoid cycle
-
-        chip_address = ChipAddress.from_flat(chip_flat, geometry)
-
-        def scan_valid() -> List[PhysicalPageAddress]:
-            return [
-                PhysicalPageAddress(
-                    chip=chip_address,
-                    die=die_index,
-                    plane=plane_index,
-                    block=victim_block,
-                    page=page,
-                )
-                for page in range(block.write_pointer)
-                if block.page_states[page] is PageState.VALID
-            ]
-
-        valid_pages = scan_valid()
+        valid_pages = [
+            self.allocator.address_of(plane_flat, victim_block, page)
+            for page in range(block.write_pointer)
+            if block.page_states[page] is PageState.VALID
+        ]
 
         # (2) + (3): copy each valid page and repoint its mapping.
         for source_address in valid_pages:
@@ -237,15 +219,7 @@ class GarbageCollector:
         # (4): erase the victim so the allocator can reuse it.
         erase = FlashTransaction(
             kind=TransactionKind.ERASE,
-            addresses=[
-                PhysicalPageAddress(
-                    chip=chip_address,
-                    die=die_index,
-                    plane=plane_index,
-                    block=victim_block,
-                    page=0,
-                )
-            ],
+            addresses=[self.allocator.address_of(plane_flat, victim_block, 0)],
             payload_bytes=0,
             source=TransactionSource.GC,
         )

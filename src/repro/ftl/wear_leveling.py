@@ -30,7 +30,6 @@ from repro.controller.transaction import (
 from repro.errors import GarbageCollectionError
 from repro.ftl.allocator import PageAllocator
 from repro.ftl.mapping import MappingTable
-from repro.nand.address import ChipAddress, PhysicalPageAddress
 from repro.nand.array import FlashArray
 from repro.nand.chip import PageState
 from repro.sim.engine import Engine
@@ -104,19 +103,15 @@ class WearLeveler:
 
     def _find_cold_block(self) -> Optional[Tuple[int, int]]:
         """(plane_flat, block_index) of the coldest fully-valid block."""
-        geometry = self.array.geometry
         best: Optional[Tuple[int, int]] = None
         best_erases: Optional[int] = None
-        plane_flat = -1
-        for chip, die, plane in self.array.iter_planes():
-            plane_flat += 1
-            for index, block in enumerate(plane.blocks):
+        for plane_flat in range(self.allocator.plane_count()):
+            for index, block in enumerate(self.allocator.plane(plane_flat).blocks):
                 if block.valid_count != block.pages_per_block:
                     continue  # only fully-valid (cold, never rewritten) blocks
                 if best_erases is None or block.erase_count < best_erases:
                     best = (plane_flat, index)
                     best_erases = block.erase_count
-        del geometry
         return best
 
     def _level(self) -> Generator:
@@ -128,22 +123,12 @@ class WearLeveler:
                 return
             plane_flat, block_index = cold
             geometry = self.array.geometry
-            die_flat, plane_index = divmod(plane_flat, geometry.planes_per_die)
-            chip_flat, die_index = divmod(die_flat, geometry.dies_per_chip)
-            chip_address = ChipAddress.from_flat(chip_flat, geometry)
-            plane = self.allocator.plane(plane_flat)
-            block = plane.block(block_index)
+            block = self.allocator.plane(plane_flat).block(block_index)
 
             for page in range(block.write_pointer):
                 if block.page_states[page] is not PageState.VALID:
                     continue
-                source = PhysicalPageAddress(
-                    chip=chip_address,
-                    die=die_index,
-                    plane=plane_index,
-                    block=block_index,
-                    page=page,
-                )
+                source = self.allocator.address_of(plane_flat, block_index, page)
                 read = FlashTransaction(
                     kind=TransactionKind.READ,
                     addresses=[source],
@@ -171,15 +156,7 @@ class WearLeveler:
 
             erase = FlashTransaction(
                 kind=TransactionKind.ERASE,
-                addresses=[
-                    PhysicalPageAddress(
-                        chip=chip_address,
-                        die=die_index,
-                        plane=plane_index,
-                        block=block_index,
-                        page=0,
-                    )
-                ],
+                addresses=[self.allocator.address_of(plane_flat, block_index, 0)],
                 payload_bytes=0,
                 source=TransactionSource.WEAR,
             )

@@ -55,6 +55,7 @@ class ChipAddress:
 
     @classmethod
     def from_flat(cls, index: int, geometry: NandGeometry) -> "ChipAddress":
+        """The (shared) address of flat chip ``index``; range-checked."""
         if not 0 <= index < geometry.total_chips:
             raise ConfigurationError(
                 f"chip index {index} out of range [0, {geometry.total_chips})"
@@ -66,6 +67,7 @@ class ChipAddress:
         return address
 
     def validate(self, geometry: NandGeometry) -> None:
+        """Raise :class:`ConfigurationError` if the chip lies outside the array."""
         if not 0 <= self.channel < geometry.channels:
             raise ConfigurationError(f"channel {self.channel} out of range")
         if not 0 <= self.way < geometry.chips_per_channel:
@@ -120,6 +122,7 @@ class PhysicalPageAddress:
         )
 
     def validate(self, geometry: NandGeometry) -> None:
+        """Raise :class:`ConfigurationError` if any component is out of range."""
         self.chip.validate(geometry)
         if not 0 <= self.die < geometry.dies_per_chip:
             raise ConfigurationError(f"die {self.die} out of range")
@@ -142,6 +145,7 @@ class PhysicalPageAddress:
 
     @classmethod
     def from_page_flat(cls, index: int, geometry: NandGeometry) -> "PhysicalPageAddress":
+        """Inverse of :meth:`page_flat_index`; range-checked."""
         if not 0 <= index < geometry.total_pages:
             raise ConfigurationError(f"page index {index} out of range")
         plane_flat, offset = divmod(index, geometry.pages_per_plane)

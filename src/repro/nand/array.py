@@ -41,18 +41,22 @@ class FlashArray:
         return len(self.chips)
 
     def chip(self, address: ChipAddress) -> FlashChip:
+        """The chip at ``address``."""
         return self._by_address[address]
 
     def die_for(self, address: PhysicalPageAddress) -> FlashDie:
+        """The die holding ``address``."""
         chip = address.chip
         return self._dies_flat[
             (chip.channel * self._ways + chip.way) * self._dies_per_chip + address.die
         ]
 
     def plane_for(self, address: PhysicalPageAddress) -> FlashPlane:
+        """The plane holding ``address``."""
         return self.die_for(address).planes[address.plane]
 
     def block_for(self, address: PhysicalPageAddress) -> FlashBlock:
+        """The block holding ``address`` (the per-page hot path)."""
         chip = address.chip
         die = self._dies_flat[
             (chip.channel * self._ways + chip.way) * self._dies_per_chip + address.die
@@ -93,7 +97,9 @@ class FlashArray:
                     yield chip, die, plane
 
     def total_valid_pages(self) -> int:
+        """Pages holding live data across the whole array."""
         return sum(plane.valid_pages for _, _, plane in self.iter_planes())
 
     def total_free_pages(self) -> int:
+        """Pages not yet handed out across the whole array."""
         return sum(plane.free_pages for _, _, plane in self.iter_planes())

@@ -34,19 +34,25 @@ class PageState(enum.Enum):
 
 
 class PageCounter:
-    """A plane's count of allocated pages, shared with its blocks.
+    """A plane's counts of allocated pages and erased blocks, shared with
+    its blocks.
 
-    Blocks bump the counter on every allocation-pointer move, so the GC
+    Blocks bump ``pages`` on every allocation-pointer move, so the GC
     watermark check is O(1) instead of a sum over all blocks on every
-    completed write.  Blocks hold this cell rather than their plane: a
-    block -> plane back-reference would make every device's block graph
-    cyclic garbage that only a full collection frees.
+    completed write.  They keep ``erased_blocks`` right on their own
+    erased <-> written transitions (first page handed out, erase of a
+    written block, restore of a non-empty fill), so the allocator knows a
+    plane is down to its GC reserve without scanning it.  Blocks hold this
+    cell rather than their plane: a block -> plane back-reference would
+    make every device's block graph cyclic garbage that only a full
+    collection frees.
     """
 
-    __slots__ = ("pages",)
+    __slots__ = ("pages", "erased_blocks")
 
-    def __init__(self) -> None:
+    def __init__(self, erased_blocks: int) -> None:
         self.pages = 0
+        self.erased_blocks = erased_blocks
 
 
 class FlashBlock:
@@ -94,9 +100,12 @@ class FlashBlock:
         self.erase_count = 0
         self.valid_count = 0
         self._invalid_count = 0
-        # The owning plane's counter (a private one for standalone blocks):
-        # every allocation-pointer move is mirrored into it.
-        self._allocated = allocated if allocated is not None else PageCounter()
+        # The owning plane's counters (private ones for a standalone block,
+        # which starts erased): every allocation-pointer move and every
+        # erased <-> written transition is mirrored into them.
+        self._allocated = (
+            allocated if allocated is not None else PageCounter(erased_blocks=1)
+        )
 
     @property
     def write_pointer(self) -> int:
@@ -105,18 +114,27 @@ class FlashBlock:
 
     @property
     def is_full(self) -> bool:
+        """Whether every page has been handed out (nothing left to reserve)."""
         return self.allocation_pointer >= self.pages_per_block
 
     @property
     def free_pages(self) -> int:
+        """Pages not yet handed out since the last erase."""
         return self.pages_per_block - self.allocation_pointer
 
     @property
     def invalid_count(self) -> int:
+        """Pages holding stale data (overwritten or migrated away)."""
         return self._invalid_count
 
     @property
     def is_erased(self) -> bool:
+        """Whether no page has been handed out since the last erase.
+
+        The owning plane counts its erased blocks
+        (:attr:`FlashPlane.erased_blocks`), so callers that only need
+        *how many* are erased never have to probe each block.
+        """
         return self.allocation_pointer == 0
 
     def reserve_next_page(self) -> int:
@@ -124,12 +142,22 @@ class FlashBlock:
         if self.is_full:
             raise NandProtocolError(f"block {self.index}: reserve on full block")
         page = self.allocation_pointer
+        if not page:
+            self._allocated.erased_blocks -= 1
         self.allocation_pointer += 1
         self.pending_programs += 1
         self._allocated.pages += 1
         return page
 
     def program_page(self, page: int) -> None:
+        """Complete the PROGRAM of ``page``.
+
+        A page the allocator reserved completes in any order; an unreserved
+        page is reserved on the spot and must be the next one in NAND page
+        order.  Programming a page twice without an erase is a protocol
+        violation.  A page invalidated while its program was in flight is
+        written but stays invalid.
+        """
         if page >= self.allocation_pointer:
             # Direct, unreserved programming must follow NAND page order.
             if page != self.allocation_pointer:
@@ -137,6 +165,8 @@ class FlashBlock:
                     f"block {self.index}: out-of-order program of page {page}, "
                     f"next programmable page is {self.allocation_pointer}"
                 )
+            if not page:
+                self._allocated.erased_blocks -= 1
             self.allocation_pointer += 1
             self.pending_programs += 1
             self._allocated.pages += 1
@@ -157,6 +187,7 @@ class FlashBlock:
         self.valid_count += 1
 
     def invalidate_page(self, page: int) -> None:
+        """Mark a written (or reserved, still in-flight) page stale."""
         state = self.page_states[page]
         if state is PageState.VALID:
             self.page_states[page] = PageState.INVALID
@@ -173,6 +204,7 @@ class FlashBlock:
         )
 
     def read_page(self, page: int, strict: bool = False) -> PageState:
+        """State of a page; ``strict`` rejects reads of unwritten pages."""
         state = self.page_states[page]
         if strict and state is PageState.FREE:
             raise NandProtocolError(
@@ -181,11 +213,18 @@ class FlashBlock:
         return state
 
     def erase(self) -> None:
+        """Return every page to FREE and count one more P/E cycle.
+
+        Refused while programs are in flight.  Erasing an already-erased
+        block is legal (it still wears the block).
+        """
         if self.pending_programs > 0:
             raise NandProtocolError(
                 f"block {self.index}: erase with {self.pending_programs} "
                 "in-flight programs"
             )
+        if self.allocation_pointer:
+            self._allocated.erased_blocks += 1
         self._allocated.pages -= self.allocation_pointer
         self.page_states = [PageState.FREE] * self.pages_per_block
         self.allocation_pointer = 0
@@ -234,6 +273,8 @@ class FlashBlock:
                 PageState.VALID if state == "v" else PageState.INVALID
             )
         filled = len(pages)
+        if filled:
+            self._allocated.erased_blocks -= 1
         self.allocation_pointer = filled
         self.programmed_count = filled
         self.erase_count = erase_count
@@ -249,7 +290,8 @@ class FlashPlane:
 
     def __init__(self, index: int, geometry: NandGeometry) -> None:
         self.index = index
-        self._allocated = PageCounter()  # maintained by the blocks
+        # Maintained by the blocks; every block starts erased.
+        self._allocated = PageCounter(erased_blocks=geometry.blocks_per_plane)
         self.blocks: List[FlashBlock] = [
             FlashBlock(block, geometry.pages_per_block, self._allocated)
             for block in range(geometry.blocks_per_plane)
@@ -259,6 +301,7 @@ class FlashPlane:
         self.erases = 0
 
     def block(self, index: int) -> FlashBlock:
+        """The block at ``index`` within this plane."""
         return self.blocks[index]
 
     @property
@@ -267,15 +310,23 @@ class FlashPlane:
         return self._allocated.pages
 
     @property
+    def erased_blocks(self) -> int:
+        """How many of the plane's blocks are erased (kept by the blocks)."""
+        return self._allocated.erased_blocks
+
+    @property
     def free_pages(self) -> int:
+        """Pages not yet handed out, across every block of the plane."""
         return self.total_pages - self._allocated.pages
 
     @property
     def valid_pages(self) -> int:
+        """Pages holding live data, across every block of the plane."""
         return sum(block.valid_count for block in self.blocks)
 
     @property
     def total_pages(self) -> int:
+        """The plane's raw capacity in pages."""
         return len(self.blocks) * self.blocks[0].pages_per_block if self.blocks else 0
 
 
@@ -324,6 +375,12 @@ class FlashDie:
         return self.timings.erase_ns
 
     def validate_command(self, command: FlashCommand) -> None:
+        """Reject a command this die cannot legally execute.
+
+        Every address must lie in the geometry and on this die; a
+        multi-plane command must name distinct planes at one shared
+        block/page offset (§2.1).
+        """
         addresses = command.addresses
         if not addresses:
             raise NandProtocolError("command with no addresses")
@@ -393,10 +450,12 @@ class FlashChip:
         ]
 
     def die(self, index: int) -> FlashDie:
+        """The die at ``index`` within this chip."""
         return self.dies[index]
 
     @property
     def flat_index(self) -> int:
+        """The chip's position in the array's channel-major chip order."""
         return self.address.flat_index(self.geometry)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

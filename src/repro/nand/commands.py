@@ -19,6 +19,7 @@ class FlashCommandKind(enum.Enum):
 
     @property
     def is_read(self) -> bool:
+        """Whether the command senses data rather than changing cells."""
         return self is FlashCommandKind.READ
 
 
@@ -37,14 +38,17 @@ class FlashCommand:
 
     @property
     def primary(self) -> PhysicalPageAddress:
+        """The first address; a multi-plane command's shared offset."""
         return self.addresses[0]
 
     @property
     def plane_count(self) -> int:
+        """Number of planes the command operates on."""
         return len(self.addresses)
 
     @property
     def is_multi_plane(self) -> bool:
+        """Whether the command gangs more than one plane of its die."""
         return len(self.addresses) > 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -207,14 +207,29 @@ def snapshot_device(device) -> dict:
     return json.loads(json.dumps(state))
 
 
+def _checked_index(value, bound: int, field: str) -> int:
+    """``value`` if it is an int in ``[0, bound)``; a named error otherwise.
+
+    Snapshot indices are used to subscript lists, where a negative value
+    would silently pick an element from the end.
+    """
+    if type(value) is not int or not 0 <= value < bound:
+        raise SimulationError(
+            f"corrupt checkpoint: {field} {value!r} outside [0, {bound})"
+        )
+    return value
+
+
 def restore_device(device, state: dict) -> None:
     """Rebuild a snapshot's state onto a freshly constructed device.
 
     The device must be pristine (no allocations, no erases) and share the
     snapshot's NAND geometry; :class:`SimulationError` is raised otherwise.
-    After restoration the FTL's cross-layer consistency invariant is
-    re-checked (:meth:`repro.ftl.ftl.Ftl.assert_consistent`), so a corrupt
-    snapshot can never silently seed a measured phase.
+    Every plane and block index the snapshot names is checked against the
+    geometry, each plane may hold one open block, and after restoration
+    the FTL's cross-layer consistency invariant is re-checked
+    (:meth:`repro.ftl.ftl.Ftl.assert_consistent`), so a corrupt snapshot
+    can never silently seed a measured phase.
     """
     if state.get("version") != CHECKPOINT_VERSION:
         raise SimulationError(
@@ -228,7 +243,18 @@ def restore_device(device, state: dict) -> None:
             f"device geometry {expected}"
         )
     planes = [plane for _, _, plane in device.array.iter_planes()]
+    blocks_per_plane = expected["blocks_per_plane"]
     for plane_flat, block_index, erase_count, pages in state["blocks"]:
+        # Inline rather than _checked_index: this loop runs once per written
+        # block on every restore.  A non-int index still fails here, with a
+        # TypeError.
+        if not (0 <= plane_flat < len(planes)
+                and 0 <= block_index < blocks_per_plane):
+            raise SimulationError(
+                f"corrupt checkpoint: blocks entry names block "
+                f"{block_index!r} of plane {plane_flat!r}, outside "
+                f"{len(planes)} planes x {blocks_per_plane} blocks"
+            )
         block = planes[plane_flat].blocks[block_index]
         try:
             # The block owns its restore path (and its invariants): a
@@ -245,11 +271,24 @@ def restore_device(device, state: dict) -> None:
         mapping._forward[lpn] = ppn
         mapping._reverse[ppn] = lpn
     allocator = device.ftl.allocator
-    for plane_flat, open_block in state["allocator"]["open_blocks"]:
-        allocator._cursors[plane_flat].open_block = open_block
-    allocator._next_plane = state["allocator"]["next_plane"]
-    allocator.allocations = state["allocator"]["allocations"]
-    rng = state["allocator"]["rng"]
+    section = state["allocator"]
+    opened = set()
+    for plane_flat, open_block in section["open_blocks"]:
+        _checked_index(plane_flat, len(planes), "allocator.open_blocks plane")
+        if plane_flat in opened:
+            raise SimulationError(
+                f"corrupt checkpoint: allocator.open_blocks names plane "
+                f"{plane_flat} twice"
+            )
+        opened.add(plane_flat)
+        allocator._cursors[plane_flat].open_block = _checked_index(
+            open_block, blocks_per_plane, "allocator.open_blocks block"
+        )
+    allocator._next_plane = _checked_index(
+        section["next_plane"], len(planes), "allocator.next_plane"
+    )
+    allocator.allocations = section["allocations"]
+    rng = section["rng"]
     allocator._rng._random.setstate((rng[0], tuple(rng[1]), rng[2]))
     cache = device.ftl.cache
     for lpn, dirty in state["cache"]:

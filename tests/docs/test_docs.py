@@ -1,8 +1,8 @@
 """Documentation gates: links, API-reference freshness, docstring coverage.
 
 These run in the tier-1 suite so a broken internal link, a stale generated
-API page, or a public ``sim``/``workloads``/``ftl``/``fleet``/``service``
-object without a docstring fails the build -- the acceptance bar for the
+API page, or a public ``sim``/``workloads``/``ftl``/``nand``/``fleet``/
+``service`` object without a docstring fails the build -- the acceptance bar for the
 docs site.
 """
 
@@ -65,7 +65,7 @@ def test_api_reference_matches_docstrings():
 
 # --------------------------------------------------------------------- #
 # docstring coverage over the public repro.sim / repro.workloads /
-# repro.fleet / repro.service surface
+# repro.ftl / repro.nand / repro.fleet / repro.service surface
 # --------------------------------------------------------------------- #
 
 def _public_surface(package_name):
@@ -107,7 +107,7 @@ def _public_surface(package_name):
 
 @pytest.mark.parametrize(
     "package",
-    ["repro.sim", "repro.workloads", "repro.ftl", "repro.fleet",
+    ["repro.sim", "repro.workloads", "repro.ftl", "repro.nand", "repro.fleet",
      "repro.service", "repro.experiments.qos"],
 )
 def test_every_public_object_has_a_docstring(package):

@@ -203,6 +203,17 @@ PINNED_WARM_SPEC_DIGEST = (
 PINNED_CHECKPOINT_DIGEST = (
     "9eebccf2d4fcfde3fd8a5af2859a08c90daa57eb5681bb36a58e91db3617ccc7"
 )
+# sha256 of the canonical JSON of warm-up snapshots on the GC path: the
+# churned one has erased 768 blocks, so it pins the
+# allocator's least-worn choice; the stepped one pins timed warm-up writes.
+PINNED_WARMUP_STATE_SHAS = {
+    "fill 0.85; churn 0.35": (
+        "d03fff64c60a206d2c3a020186814954c64a98844a09b3cc3b123ddc4ee02f4d"
+    ),
+    "fill 0.8; steps 2000": (
+        "d928b0796d94a0907d79c636e30c9ccddfea8b27214318e4d23817fad0c4e85e"
+    ),
+}
 
 
 def test_knob_free_spec_digests_match_pre_knob_main():
@@ -234,3 +245,16 @@ def test_churn_free_warmup_digests_match_pre_churn_main():
     )
     assert spec.digest == PINNED_WARM_SPEC_DIGEST
     assert spec.checkpoint_digest == PINNED_CHECKPOINT_DIGEST
+
+
+@pytest.mark.parametrize("warmup", sorted(PINNED_WARMUP_STATE_SHAS))
+def test_warmup_snapshots_match_pinned_state(warmup):
+    spec = make_spec(
+        "baseline", "performance-optimized", "hm_0", SCALE, warmup=warmup
+    )
+    state, _ = spec.compute_checkpoint()
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(canonical.encode()).hexdigest()
+        == PINNED_WARMUP_STATE_SHAS[warmup]
+    )

@@ -1,6 +1,7 @@
 """Device-state checkpointing: grammar, snapshot round-trips, the store."""
 
 import json
+import re
 
 import pytest
 
@@ -163,6 +164,49 @@ class TestSnapshotRestore:
                 allocator.erased_block_count(plane_flat)
                 >= allocator.gc_reserved_blocks
             )
+
+    @pytest.fixture(scope="class")
+    def churned_baseline(self):
+        spec = _spec(design="baseline", warmup="fill 0.85; churn 0.35")
+        state, _ = spec.compute_checkpoint()
+        return spec, state
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("allocator", "open_blocks", 0, 1), -1, "allocator.open_blocks block"),
+        (("allocator", "next_plane"), -1, "allocator.next_plane"),
+        (("allocator", "open_blocks", 0, 1), 16, "allocator.open_blocks block"),
+        (("allocator", "next_plane"), 10**6, "allocator.next_plane"),
+        (("allocator", "open_blocks", 0, 0), 10**6, "allocator.open_blocks plane"),
+        (("blocks", 0, 0), -1, "blocks entry"),
+    ], ids=[
+        "negative-open-block", "negative-next-plane", "open-block-past-end",
+        "next-plane-past-end", "open-block-plane-past-end",
+        "negative-block-plane",
+    ])
+    def test_restore_rejects_out_of_range_indices(
+        self, churned_baseline, path, value, field
+    ):
+        # Negative indices would silently pick a plane or block from the
+        # end; too-large ones would raise a bare IndexError mid-run.
+        spec, state = churned_baseline
+        tampered = json.loads(json.dumps(state))
+        *parents, last = path
+        target = tampered
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        device = spec._build_device(spec.build_config(), with_faults=False)
+        with pytest.raises(SimulationError, match=re.escape(field)):
+            restore_device(device, tampered)
+
+    def test_restore_rejects_two_open_blocks_in_one_plane(self, churned_baseline):
+        spec, state = churned_baseline
+        tampered = json.loads(json.dumps(state))
+        plane_flat, block = tampered["allocator"]["open_blocks"][0]
+        tampered["allocator"]["open_blocks"].append([plane_flat, block + 1])
+        device = spec._build_device(spec.build_config(), with_faults=False)
+        with pytest.raises(SimulationError, match="twice"):
+            restore_device(device, tampered)
 
     def test_restore_rebuilds_cache_residency(self):
         spec = _spec(warmup="fill 0.1")

@@ -1,5 +1,6 @@
 """CLI sustained-write surface: ``ftl sweep`` and the ``run`` FTL knobs."""
 
+import hashlib
 import json
 
 from repro.cli import main
@@ -32,6 +33,27 @@ def test_ftl_sweep_json_and_cache(tmp_path, capsys):
     assert cold["write_cliff"] == warm["write_cliff"]
     assert cold["wa_op"] == warm["wa_op"]
     assert cold["gc_faults"] == warm["gc_faults"]
+
+
+#: sha256 of the canonical JSON of the sweep's result sections: five
+#: fabrics, churned restores, write stalls and multi-plane writes.
+PINNED_SWEEP_SHA = (
+    "c6c42af9447acceb4f8d776bb1766a3871bfa47efb246b49ab6843d67a69b0b5"
+)
+
+
+def test_ftl_sweep_results_are_pinned(capsys):
+    args = [
+        "ftl", "sweep", "--requests", "120", "--fills", "0.5", "0.85",
+        "--fill", "0.5", "--op", "0.07", "0.35", "--json",
+    ]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    sections = {
+        key: payload[key] for key in ("write_cliff", "wa_op", "gc_faults")
+    }
+    canonical = json.dumps(sections, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SWEEP_SHA
 
 
 def test_ftl_sweep_rejects_bad_knob_values(capsys):
