@@ -18,7 +18,7 @@ only to pick the one it opens.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.ssd_config import NandGeometry
 from repro.errors import GarbageCollectionError, MappingError
@@ -174,26 +174,13 @@ class PageAllocator:
         )
         return cursor.open_block
 
-    def _take_address(
-        self, cursor: _PlaneCursor, for_gc: bool = False
-    ) -> Optional[PhysicalPageAddress]:
-        """Reserve and return the plane's next free page address."""
-        block_index = self._open_block(cursor, for_gc=for_gc)
-        if block_index is None:
-            return None
-        return PhysicalPageAddress(
-            chip=cursor.chip,
-            die=cursor.die,
-            plane=cursor.plane_index,
-            block=block_index,
-            page=cursor.plane.blocks[block_index].reserve_next_page(),
-        )
+    def _reserve(self) -> Tuple[_PlaneCursor, int, int]:
+        """Reserve the next free page in striping order.
 
-    def allocate(self) -> PhysicalPageAddress:
-        """Next physical page address in striping order.
-
-        The returned page is *not* yet programmed -- the caller issues the
-        PROGRAM transaction (or marks state directly when preconditioning).
+        Returns ``(cursor, block, page)``.  This is the plane choice behind
+        :meth:`allocate`; the timing-free churn
+        (:meth:`repro.ftl.ftl.Ftl.churn`) calls it directly and works on
+        flat page numbers, so it never builds an address.
         """
         attempts = 0
         total = len(self._cursors)
@@ -204,15 +191,56 @@ class PageAllocator:
                 position = self._next_plane
                 self._next_plane = (self._next_plane + 1) % total
             cursor = self._cursors[self._plane_order[position]]
-            address = self._take_address(cursor)
+            block_index = self._open_block(cursor)
             attempts += 1
-            if address is not None:
+            if block_index is not None:
                 self.allocations += 1
-                return address
+                page = cursor.plane.blocks[block_index].reserve_next_page()
+                return cursor, block_index, page
         raise GarbageCollectionError(
             "no free page anywhere: garbage collection cannot keep up "
             "(device written beyond its over-provisioned capacity)"
         )
+
+    def _reserve_in_plane(
+        self, plane_flat: int, for_gc: bool = True
+    ) -> Optional[Tuple[_PlaneCursor, int, int]]:
+        """Reserve the next free page of one plane: ``(cursor, block, page)``,
+        or None when the plane has none.
+
+        The core of :meth:`allocate_in_plane`, used directly by churn
+        compaction, which tries plane after plane and so learns of a full
+        one without an exception.
+        """
+        if not 0 <= plane_flat < len(self._cursors):
+            raise MappingError(f"plane index {plane_flat} out of range")
+        cursor = self._cursors[plane_flat]
+        block_index = self._open_block(cursor, for_gc=for_gc)
+        if block_index is None:
+            return None
+        self.allocations += 1
+        page = cursor.plane.blocks[block_index].reserve_next_page()
+        return cursor, block_index, page
+
+    @staticmethod
+    def _address(
+        cursor: _PlaneCursor, block: int, page: int
+    ) -> PhysicalPageAddress:
+        return PhysicalPageAddress(
+            chip=cursor.chip,
+            die=cursor.die,
+            plane=cursor.plane_index,
+            block=block,
+            page=page,
+        )
+
+    def allocate(self) -> PhysicalPageAddress:
+        """Next physical page address in striping order.
+
+        The returned page is *not* yet programmed -- the caller issues the
+        PROGRAM transaction (or marks state directly when preconditioning).
+        """
+        return self._address(*self._reserve())
 
     def allocate_in_plane(
         self, plane_flat: int, for_gc: bool = True
@@ -222,13 +250,10 @@ class PageAllocator:
 
         GC-path allocations may dip into the reserved erased blocks.
         """
-        if not 0 <= plane_flat < len(self._cursors):
-            raise MappingError(f"plane index {plane_flat} out of range")
-        address = self._take_address(self._cursors[plane_flat], for_gc=for_gc)
-        if address is None:
+        reserved = self._reserve_in_plane(plane_flat, for_gc)
+        if reserved is None:
             raise GarbageCollectionError(f"plane {plane_flat} has no free page")
-        self.allocations += 1
-        return address
+        return self._address(*reserved)
 
     def allocate_multi_plane(self, count: int) -> List[PhysicalPageAddress]:
         """Allocate ``count`` same-offset pages across planes of one die.
@@ -260,11 +285,55 @@ class PageAllocator:
                 if len(offsets) == 1:
                     # Each cursor is a distinct plane whose open block was
                     # just checked, so every take lands on the shared offset.
-                    addresses = [self._take_address(cursor) for cursor in cursors]
+                    ((block_index, _),) = offsets
+                    addresses = [
+                        self._address(
+                            cursor,
+                            block_index,
+                            cursor.plane.blocks[block_index].reserve_next_page(),
+                        )
+                        for cursor in cursors
+                    ]
                     self._next_plane = ((die_flat + 1) * planes_per_die) % total
                     self.allocations += count
                     return addresses
         return [self.allocate()]
+
+    def is_fresh(self) -> bool:
+        """Whether nothing was allocated yet and no block was ever erased.
+
+        That is: no counted allocation, no open block, and every block
+        erased with erase count 0 -- the array as built.
+        """
+        return not self.allocations and all(
+            cursor.open_block is None
+            and cursor.plane.erased_blocks == len(cursor.plane.blocks)
+            and not any(block.erase_count for block in cursor.plane.blocks)
+            for cursor in self._cursors
+        )
+
+    def fill_fresh(self, counts: Sequence[int]) -> None:
+        """Write ``counts[p]`` valid pages into each plane ``p``, in one pass.
+
+        On a fresh array (:meth:`is_fresh`) this leaves exactly the state
+        that ``counts[p]`` calls of :meth:`allocate_in_plane` with a
+        program of each page would: every erase count is 0, so the plane
+        opens blocks 0, 1, ... in index order and fills each one before the
+        next, and its open block is the last block it wrote.  No count may
+        exceed the plane's page capacity.
+        """
+        pages_per_block = self.geometry.pages_per_block
+        full_block = "v" * pages_per_block
+        for cursor, count in zip(self._cursors, counts):
+            if not count:
+                continue
+            blocks = cursor.plane.blocks
+            last, tail = divmod(count - 1, pages_per_block)
+            for block in blocks[:last]:
+                block.restore(full_block, 0)
+            blocks[last].restore("v" * (tail + 1), 0)
+            cursor.open_block = last
+        self.allocations += sum(counts)
 
     # ------------------------------------------------------------------ #
 
@@ -301,13 +370,6 @@ class PageAllocator:
 
         The chip/die/plane components are resolved from the plane's cursor,
         which fixed them at construction -- used by maintenance paths (GC,
-        churn compaction) that walk planes by flat index.
+        wear leveling) that walk planes by flat index.
         """
-        cursor = self._cursors[plane_flat]
-        return PhysicalPageAddress(
-            chip=cursor.chip,
-            die=cursor.die,
-            plane=cursor.plane_index,
-            block=block,
-            page=page,
-        )
+        return self._address(self._cursors[plane_flat], block, page)

@@ -55,6 +55,10 @@ class Ftl:
         self.cache = cache if cache is not None else DramCache(0, enabled=False)
         self.multi_plane_writes = multi_plane_writes
         self.cluster_pages = max(1, self.CLUSTER_BYTES // self.geometry.page_size)
+        self._planes_per_chip = (
+            self.geometry.dies_per_chip * self.geometry.planes_per_die
+        )
+        self._pages_per_plane = self.geometry.pages_per_plane
         self.host_reads = 0
         self.host_writes = 0
         self.cache_served_reads = 0
@@ -82,8 +86,8 @@ class Ftl:
     # translation
     # ------------------------------------------------------------------ #
 
-    def _materialise(self, lpn: int) -> int:
-        """Implicit preconditioning: back an unread LPN with a real page.
+    def _home_plane(self, lpn: int) -> int:
+        """Flat plane an unwritten LPN is materialised on.
 
         Placement follows the CWDP priority order at extent granularity:
         each ``CLUSTER_BYTES`` logical extent lives on one channel, striped
@@ -92,16 +96,20 @@ class Ftl:
         spatially-local read burst hit *different chips of the same
         channel* -- the canonical path-conflict pattern of Figure 3.
         """
-        geometry = self.geometry
-        ways = geometry.chips_per_channel
-        channel = (lpn // self.cluster_pages) % geometry.channels
-        way = lpn % ways
-        chip_flat = channel * ways + way
-        planes_per_chip = geometry.dies_per_chip * geometry.planes_per_die
-        plane_in_chip = (lpn // ways) % planes_per_chip
-        plane_flat = chip_flat * planes_per_chip + plane_in_chip
+        ways = self.geometry.chips_per_channel
+        planes_per_chip = self._planes_per_chip
+        channel = (lpn // self.cluster_pages) % self.geometry.channels
+        chip_flat = channel * ways + lpn % ways
+        return chip_flat * planes_per_chip + (lpn // ways) % planes_per_chip
+
+    def _materialise(self, lpn: int) -> int:
+        """Implicit preconditioning: back an unread LPN with a real page.
+
+        The page lands on the LPN's home plane (:meth:`_home_plane`), or
+        anywhere in striping order when that plane is full.
+        """
         try:
-            address = self.allocator.allocate_in_plane(plane_flat)
+            address = self.allocator.allocate_in_plane(self._home_plane(lpn))
         except GarbageCollectionError:
             address = self.allocator.allocate()
         self.array.block_for(address).program_page(address.page)
@@ -109,6 +117,20 @@ class Ftl:
         self.mapping.map_page(lpn, ppn)
         self.implicit_preconditions += 1
         return ppn
+
+    def _invalidate(self, ppn: int) -> None:
+        """Mark the physical page at flat page number ``ppn`` stale."""
+        plane_flat, offset = divmod(ppn, self._pages_per_plane)
+        block, page = divmod(offset, self.geometry.pages_per_block)
+        self.allocator.plane(plane_flat).blocks[block].invalidate_page(page)
+
+    def _ppn(self, plane_flat: int, block: int, page: int) -> int:
+        """Flat physical page number of (plane, block, page)."""
+        return (
+            plane_flat * self._pages_per_plane
+            + block * self.geometry.pages_per_block
+            + page
+        )
 
     def translate_read(self, byte_offset: int, size_bytes: int) -> List[FlashTransaction]:
         """Host read -> one READ transaction per (uncached) logical page."""
@@ -161,10 +183,7 @@ class Ftl:
                 ppn = address.page_flat_index(self.geometry)
                 old_ppn = self.mapping.map_page(lpn, ppn)
                 if old_ppn is not None:
-                    old_address = PhysicalPageAddress.from_page_flat(
-                        old_ppn, self.geometry
-                    )
-                    self.array.block_for(old_address).invalidate_page(old_address.page)
+                    self._invalidate(old_ppn)
             transactions.append(
                 FlashTransaction(
                     kind=TransactionKind.PROGRAM,
@@ -190,15 +209,20 @@ class Ftl:
                 planes.add(address.plane_flat_index(self.geometry))
         return sorted(planes)
 
-    def precondition(self, fill_fraction: float, seed: Optional[int] = None) -> int:
+    def precondition(self, fill_fraction: float) -> int:
         """Fill a fraction of the logical space with valid data, timing-free.
 
         Returns the number of pages written.  Used before write-heavy runs
-        so garbage collection behaves as on an aged device.
+        so garbage collection behaves as on an aged device.  Each unmapped
+        LPN is materialised on its home plane, in LPN order; on a fresh
+        device that layout is written in one pass (:meth:`_fill_fresh`).
         """
         if not 0.0 <= fill_fraction <= 1.0:
             raise MappingError(f"fill fraction out of [0,1]: {fill_fraction}")
         target = int(self.logical_pages * fill_fraction)
+        if (not self.mapping.mapped_count and self.allocator.is_fresh()
+                and self._fill_fresh(target)):
+            return target
         written = 0
         for lpn in range(target):
             if self.mapping.is_mapped(lpn):
@@ -206,6 +230,31 @@ class Ftl:
             self._materialise(lpn)
             written += 1
         return written
+
+    def _fill_fresh(self, target: int) -> bool:
+        """Materialise LPNs ``[0, target)`` on a fresh device in one pass.
+
+        On an empty mapping and a fresh array every LPN goes to its home
+        plane, and each plane fills blocks 0, 1, ... in order.  So the
+        ``k``-th LPN a plane receives lands on the plane's ``k``-th page,
+        and the blocks, cursors and mapping can be written directly, with
+        the counters :meth:`_materialise` would have left.  Returns False,
+        having changed nothing, when some plane would receive more pages
+        than it holds (the per-page path then spills them over).
+        """
+        pages_per_plane = self._pages_per_plane
+        counts = [0] * self.allocator.plane_count()
+        ppns = []
+        for plane_flat in map(self._home_plane, range(target)):
+            ppns.append(plane_flat * pages_per_plane + counts[plane_flat])
+            counts[plane_flat] += 1
+        if max(counts) > pages_per_plane:
+            return False
+        self.allocator.fill_fresh(counts)
+        self.mapping.load(range(target), ppns)
+        self.mapping.updates += target
+        self.implicit_preconditions += target
+        return True
 
     def churn(self, churn_fraction: float, seed: Optional[int] = None) -> int:
         """Overwrite a fraction of the mapped logical pages, timing-free.
@@ -266,20 +315,17 @@ class Ftl:
     def _rewrite_timing_free(self, lpn: int) -> None:
         """Out-of-place rewrite of one mapped LPN with zero simulated cost."""
         try:
-            address = self.allocator.allocate()
+            cursor, block, page = self.allocator._reserve()
         except GarbageCollectionError:
             if not self._compact_timing_free():
                 raise
-            address = self.allocator.allocate()
-        self.array.block_for(address).program_page(address.page)
+            cursor, block, page = self.allocator._reserve()
+        cursor.plane.blocks[block].program_page(page)
         old_ppn = self.mapping.map_page(
-            lpn, address.page_flat_index(self.geometry)
+            lpn, self._ppn(cursor.plane_flat, block, page)
         )
         if old_ppn is not None:
-            old_address = PhysicalPageAddress.from_page_flat(
-                old_ppn, self.geometry
-            )
-            self.array.block_for(old_address).invalidate_page(old_address.page)
+            self._invalidate(old_ppn)
 
     def _compact_timing_free(self) -> int:
         """One synchronous compaction pass over all planes, timing-free.
@@ -292,10 +338,11 @@ class Ftl:
         reclaimed; zero means every closed block is fully valid and no
         space can be recovered.
         """
+        allocator = self.allocator
         reclaimed = 0
-        for plane_flat in range(self.allocator.plane_count()):
-            plane = self.allocator.plane(plane_flat)
-            open_block = self.allocator.open_block_of(plane_flat)
+        for plane_flat in range(allocator.plane_count()):
+            plane = allocator.plane(plane_flat)
+            open_block = allocator.open_block_of(plane_flat)
             victim_index = None
             victim_key = None
             for index, block in enumerate(plane.blocks):
@@ -309,24 +356,22 @@ class Ftl:
             if victim_index is None:
                 continue
             victim = plane.block(victim_index)
+            victim_ppn = self._ppn(plane_flat, victim_index, 0)
             migrated_all = True
             for page in range(victim.write_pointer):
                 if victim.read_page(page) is not PageState.VALID:
                     continue
-                try:
-                    target = self.allocator.allocate_in_plane(plane_flat)
-                except GarbageCollectionError:
-                    target = self._allocate_anywhere_timing_free(plane_flat)
+                target = allocator._reserve_in_plane(
+                    plane_flat
+                ) or self._reserve_anywhere_timing_free(plane_flat)
                 if target is None:
                     migrated_all = False
                     break
-                self.array.block_for(target).program_page(target.page)
-                old_address = self.allocator.address_of(
-                    plane_flat, victim_index, page
-                )
-                old_ppn = old_address.page_flat_index(self.geometry)
+                cursor, block, target_page = target
+                cursor.plane.blocks[block].program_page(target_page)
                 self.mapping.remap_physical(
-                    old_ppn, target.page_flat_index(self.geometry)
+                    victim_ppn + page,
+                    self._ppn(cursor.plane_flat, block, target_page),
                 )
                 victim.invalidate_page(page)
             if migrated_all and victim.valid_count == 0:
@@ -334,15 +379,13 @@ class Ftl:
                 reclaimed += 1
         return reclaimed
 
-    def _allocate_anywhere_timing_free(self, skip_plane: int):
-        """GC-path allocation in any plane but ``skip_plane`` (or None)."""
+    def _reserve_anywhere_timing_free(self, skip_plane: int):
+        """GC-path reservation in any plane but ``skip_plane`` (or None)."""
         for plane_flat in range(self.allocator.plane_count()):
-            if plane_flat == skip_plane:
-                continue
-            try:
-                return self.allocator.allocate_in_plane(plane_flat)
-            except GarbageCollectionError:
-                continue
+            if plane_flat != skip_plane:
+                reserved = self.allocator._reserve_in_plane(plane_flat)
+                if reserved is not None:
+                    return reserved
         return None
 
     def assert_consistent(self) -> None:

@@ -12,7 +12,7 @@ PPNs are flat physical page indices (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 
@@ -73,6 +73,32 @@ class MappingTable:
         self._reverse[ppn] = lpn
         self.updates += 1
         return old_ppn
+
+    def load(self, lpns: Sequence[int], ppns: Sequence[int]) -> None:
+        """Map ``lpns[k]`` to ``ppns[k]`` for every ``k``, into an empty table.
+
+        The bulk path of a fresh device's fill and of checkpoint restore.
+        It checks the LPN column's range once instead of per page, and
+        rejects a repeated LPN or PPN.  It does not count ``updates``: the
+        fill counts its own writes, and a restore rebuilds a table rather
+        than writing to it.
+        """
+        if self._forward:
+            raise MappingError("bulk load into a non-empty mapping table")
+        if lpns:
+            low, high = min(lpns), max(lpns)
+            if low < 0 or high >= self.total_logical_pages:
+                self._check_lpn(low if low < 0 else high)
+        forward = dict(zip(lpns, ppns))
+        reverse = dict(zip(ppns, lpns))
+        if len(forward) != len(lpns):
+            raise MappingError("LPN repeated in a bulk load")
+        if len(reverse) != len(ppns):
+            raise MappingError(
+                "PPN repeated in a bulk load; physical pages are never shared"
+            )
+        self._forward = forward
+        self._reverse = reverse
 
     def unmap(self, lpn: int) -> Optional[int]:
         """Drop a logical page's mapping (trim); returns the freed PPN."""

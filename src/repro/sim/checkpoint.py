@@ -38,7 +38,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError, NandProtocolError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    MappingError,
+    NandProtocolError,
+    SimulationError,
+)
 from repro.fileio import atomic_write_text
 from repro.nand.chip import PageState
 
@@ -152,6 +157,11 @@ def _geometry_payload(geometry) -> Dict[str, int]:
     }
 
 
+#: Snapshot character of each page state below a block's allocation
+#: pointer.  At quiescence only valid and invalid pages occur there.
+_PAGE_CHARS = {PageState.VALID: "v", PageState.INVALID: "i"}
+
+
 def snapshot_device(device) -> dict:
     """Serialise a quiescent device's mutable state to a plain-JSON value.
 
@@ -159,9 +169,9 @@ def snapshot_device(device) -> dict:
     drained) -- :class:`SimulationError` is raised otherwise.  The snapshot
     covers per-block NAND occupancy ('v'/'i' per handed-out page, erase
     count), the LPN->PPN mapping, allocator cursors plus the allocator RNG
-    stream, and DRAM-cache residency.  The value is round-tripped through
-    JSON before being returned so an in-process snapshot is byte-for-byte
-    the same value a disk-loaded one would be.
+    stream, and DRAM-cache residency.  It is built from JSON-native values
+    only (lists rather than tuples, ``str`` dict keys), so an in-process
+    snapshot is the same value a disk-loaded one would be.
     """
     blocks: List[list] = []
     planes = [plane for _, _, plane in device.array.iter_planes()]
@@ -173,21 +183,21 @@ def snapshot_device(device) -> dict:
                     f"{block.index} of plane {plane_flat} has "
                     f"{block.pending_programs} in-flight programs"
                 )
-            if (block.erase_count == 0 and block.allocation_pointer == 0
-                    and block.invalid_count == 0):
+            written = block.allocation_pointer
+            if not written and not block.erase_count and not block.invalid_count:
                 continue  # untouched block: implicit in the snapshot
             pages = "".join(
-                "v" if block.page_states[page] is PageState.VALID else "i"
-                for page in range(block.allocation_pointer)
+                [_PAGE_CHARS[state] for state in block.page_states[:written]]
             )
             blocks.append([plane_flat, block.index, block.erase_count, pages])
     allocator = device.ftl.allocator
     rng_state = allocator._rng._random.getstate()
-    state = {
+    mapping = dict(device.ftl.mapping.items())
+    return {
         "version": CHECKPOINT_VERSION,
         "geometry": _geometry_payload(device.config.geometry),
         "blocks": blocks,
-        "mapping": sorted([lpn, ppn] for lpn, ppn in device.ftl.mapping.items()),
+        "mapping": [[lpn, mapping[lpn]] for lpn in sorted(mapping)],
         "allocator": {
             "open_blocks": [
                 [cursor.plane_flat, cursor.open_block]
@@ -202,9 +212,6 @@ def snapshot_device(device) -> dict:
             [lpn, dirty] for lpn, dirty in device.ftl.cache._lru.items()
         ],
     }
-    # Canonicalise through JSON: tuples become lists, keys become strings,
-    # exactly as a store round-trip would leave them.
-    return json.loads(json.dumps(state))
 
 
 def _checked_index(value, bound: int, field: str) -> int:
@@ -226,17 +233,19 @@ def restore_device(device, state: dict) -> None:
     The device must be pristine (no allocations, no erases) and share the
     snapshot's NAND geometry; :class:`SimulationError` is raised otherwise.
     Every plane and block index the snapshot names is checked against the
-    geometry, each plane may hold one open block, and after restoration
-    the FTL's cross-layer consistency invariant is re-checked
-    (:meth:`repro.ftl.ftl.Ftl.assert_consistent`), so a corrupt snapshot
-    can never silently seed a measured phase.
+    geometry, each plane may hold one open block, every mapped LPN must
+    lie in the logical space and every mapped PPN on a valid page, and
+    after restoration the FTL's cross-layer consistency invariant is
+    re-checked (:meth:`repro.ftl.ftl.Ftl.assert_consistent`), so a corrupt
+    snapshot can never silently seed a measured phase.
     """
     if state.get("version") != CHECKPOINT_VERSION:
         raise SimulationError(
             f"unsupported checkpoint version {state.get('version')!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    expected = _geometry_payload(device.config.geometry)
+    geometry = device.config.geometry
+    expected = _geometry_payload(geometry)
     if state.get("geometry") != expected:
         raise SimulationError(
             f"checkpoint geometry {state.get('geometry')} does not match "
@@ -244,6 +253,10 @@ def restore_device(device, state: dict) -> None:
         )
     planes = [plane for _, _, plane in device.array.iter_planes()]
     blocks_per_plane = expected["blocks_per_plane"]
+    pages_per_block = expected["pages_per_block"]
+    # What each flat physical page holds per the snapshot: b"v", b"i", or
+    # 0 for a free page.
+    occupancy = bytearray(geometry.total_pages)
     for plane_flat, block_index, erase_count, pages in state["blocks"]:
         # Inline rather than _checked_index: this loop runs once per written
         # block on every restore.  A non-int index still fails here, with a
@@ -266,10 +279,9 @@ def restore_device(device, state: dict) -> None:
                 f"corrupt checkpoint for block {block_index} of plane "
                 f"{plane_flat}: {error}"
             ) from error
-    mapping = device.ftl.mapping
-    for lpn, ppn in state["mapping"]:
-        mapping._forward[lpn] = ppn
-        mapping._reverse[ppn] = lpn
+        first = (plane_flat * blocks_per_plane + block_index) * pages_per_block
+        occupancy[first:first + len(pages)] = pages.encode()
+    _restore_mapping(device.ftl.mapping, state["mapping"], occupancy)
     allocator = device.ftl.allocator
     section = state["allocator"]
     opened = set()
@@ -294,6 +306,36 @@ def restore_device(device, state: dict) -> None:
     for lpn, dirty in state["cache"]:
         cache._lru[int(lpn)] = bool(dirty)
     device.ftl.assert_consistent()
+
+
+def _restore_mapping(mapping, pairs: List[list], occupancy: bytearray) -> None:
+    """Load a snapshot's ``[lpn, ppn]`` pairs, checked in bulk.
+
+    The PPN column must lie in the array, every PPN must name a page the
+    snapshot's blocks hold as valid (one lookup per pair in
+    ``occupancy``), and :meth:`~repro.ftl.mapping.MappingTable.load`
+    checks the LPN column's range and rejects repeats.
+    """
+    lpns = [lpn for lpn, _ in pairs]
+    ppns = [ppn for _, ppn in pairs]
+    if ppns:
+        low, high = min(ppns), max(ppns)
+        if low < 0 or high >= len(occupancy):
+            raise SimulationError(
+                f"corrupt checkpoint: mapping PPN "
+                f"{low if low < 0 else high} outside [0, {len(occupancy)})"
+            )
+        held = bytes(map(occupancy.__getitem__, ppns))
+        if held.strip(b"v"):
+            index = next(k for k, page in enumerate(held) if page != ord("v"))
+            raise SimulationError(
+                f"corrupt checkpoint: mapping PPN {ppns[index]} of LPN "
+                f"{lpns[index]} is not a valid page"
+            )
+    try:
+        mapping.load(lpns, ppns)
+    except MappingError as error:
+        raise SimulationError(f"corrupt checkpoint: mapping {error}") from error
 
 
 class CheckpointStore:

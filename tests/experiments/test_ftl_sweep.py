@@ -16,9 +16,16 @@ from repro.experiments.ftl import (
     wa_op_specs,
     write_cliff_specs,
 )
-from repro.experiments.spec import ExperimentScale, make_spec, matrix_specs
+from repro.experiments.spec import (
+    ExperimentScale,
+    build_config,
+    make_spec,
+    matrix_specs,
+)
 from repro.experiments.store import ResultStore
-from repro.sim.checkpoint import CheckpointStore
+from repro.ftl.allocator import AllocationStrategy
+from repro.sim.checkpoint import CheckpointStore, snapshot_device
+from repro.ssd.device import SsdDevice
 
 SCALE = ExperimentScale(
     requests=80,
@@ -247,14 +254,51 @@ def test_churn_free_warmup_digests_match_pre_churn_main():
     assert spec.checkpoint_digest == PINNED_CHECKPOINT_DIGEST
 
 
+# The same hash of a baseline device's snapshot after precondition(fill)
+# and churn(churn), for the allocation strategies the pins above leave
+# out, and for a full fill whose heavy churn compacts hard: 251,566
+# allocations, and 2,036 of the 2,048 blocks erased at least once.
+PINNED_CHURNED_STATE_SHAS = {
+    (AllocationStrategy.WCDP, 0.85, 0.35): (
+        "5beb391950fc584ed6992775beb47136dd3d53c9781cf3a3000991c05dfa8336"
+    ),
+    (AllocationStrategy.RANDOM, 0.85, 0.35): (
+        "fcfbcb0d6d063103385f0e4b19a0ed6a3de332c5148e16a95ccad79b6e3e33ab"
+    ),
+    (AllocationStrategy.CWDP, 1.0, 0.5): (
+        "548ff2e416dc000d9d70686ba9aff68eb5a6e5fdbebb529cd9851fd3497d683c"
+    ),
+}
+
+
+def _state_sha(state):
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("warmup", sorted(PINNED_WARMUP_STATE_SHAS))
 def test_warmup_snapshots_match_pinned_state(warmup):
     spec = make_spec(
         "baseline", "performance-optimized", "hm_0", SCALE, warmup=warmup
     )
     state, _ = spec.compute_checkpoint()
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    assert _state_sha(state) == PINNED_WARMUP_STATE_SHAS[warmup]
+
+
+@pytest.mark.parametrize(
+    "strategy, fill, churn",
+    list(PINNED_CHURNED_STATE_SHAS),
+    ids=["wcdp", "random", "cwdp-full-fill"],
+)
+def test_churned_snapshots_match_pinned_state(strategy, fill, churn):
+    device = SsdDevice(
+        build_config("performance-optimized", SCALE),
+        DesignKind.BASELINE,
+        allocation=strategy,
+    )
+    device.precondition(fill)
+    device.churn(churn)
     assert (
-        hashlib.sha256(canonical.encode()).hexdigest()
-        == PINNED_WARMUP_STATE_SHAS[warmup]
+        _state_sha(snapshot_device(device))
+        == PINNED_CHURNED_STATE_SHAS[strategy, fill, churn]
     )

@@ -1,14 +1,19 @@
 """FTL translation tests: reads, writes, preconditioning, consistency."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config.presets import performance_optimized
+from repro.config.ssd_config import DesignKind
 from repro.controller.transaction import TransactionKind
-from repro.errors import MappingError
+from repro.errors import GarbageCollectionError, MappingError, ReproError
+from repro.ftl.allocator import AllocationStrategy
 from repro.ftl.cache import DramCache
 from repro.ftl.ftl import Ftl
 from repro.nand.array import FlashArray
+from repro.sim.checkpoint import snapshot_device
 from repro.sim.engine import Engine
+from repro.ssd.device import SsdDevice
 
 
 def make_ftl(blocks=4, pages=8, cache=None, multi_plane=True):
@@ -132,6 +137,108 @@ def test_precondition_rejects_bad_fraction():
     ftl, _ = make_ftl()
     with pytest.raises(MappingError):
         ftl.precondition(1.5)
+
+
+# --------------------------------------------------------------------- #
+# the one-pass fill of a fresh device against the per-page reference
+# --------------------------------------------------------------------- #
+
+
+def _device(blocks, pages, channels, ways, over_provisioning, strategy, start):
+    """A baseline device in one of three starting states."""
+    config = performance_optimized(
+        blocks_per_plane=blocks, pages_per_block=pages
+    ).with_geometry(channels, ways)
+    device = SsdDevice(
+        config,
+        DesignKind.BASELINE,
+        allocation=strategy,
+        over_provisioning=over_provisioning,
+    )
+    kind, value = start
+    if kind == "read":  # one implicitly preconditioned page
+        lpn = value % device.ftl.logical_pages
+        page_size = config.geometry.page_size
+        device.ftl.translate_read(lpn * page_size, page_size)
+    elif kind == "worn":  # an erased block that is no longer least-worn
+        allocator = device.ftl.allocator
+        plane = allocator.plane(value % allocator.plane_count())
+        plane.blocks[value % blocks].erase_count = 1
+    return device
+
+
+def _fill_page_by_page(ftl, fill_fraction):
+    """Reference fill: materialise each unmapped LPN below the target."""
+    written = 0
+    for lpn in range(int(ftl.logical_pages * fill_fraction)):
+        if not ftl.mapping.is_mapped(lpn):
+            ftl._materialise(lpn)
+            written += 1
+    return written
+
+
+def _outcome(device, fill):
+    """What a fill returned or raised, and everything it left behind."""
+    try:
+        returned = fill()
+    except ReproError as error:
+        returned = (type(error), str(error))
+    ftl = device.ftl
+    return (
+        returned,
+        snapshot_device(device),
+        ftl.allocator.allocations,
+        ftl.mapping.updates,
+        ftl.implicit_preconditions,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # overflows channel 0's planes: the per-page path raises
+    blocks=2, pages=2, channels=8, ways=8, over_provisioning=0.0,
+    fill=1.0, strategy=AllocationStrategy.CWDP, start=("fresh", 0),
+)
+@example(  # each plane's last block ends full and stays the open block
+    blocks=2, pages=2, channels=1, ways=1, over_provisioning=0.0,
+    fill=0.5, strategy=AllocationStrategy.CWDP, start=("fresh", 0),
+)
+@given(
+    blocks=st.integers(2, 8),
+    pages=st.integers(2, 8),
+    channels=st.sampled_from([1, 2, 4, 8]),
+    ways=st.sampled_from([1, 2, 4, 8]),
+    over_provisioning=st.sampled_from([0.0, 0.07, 0.2, 0.35]),
+    fill=st.floats(0.0, 1.0),
+    strategy=st.sampled_from(list(AllocationStrategy)),
+    start=st.tuples(
+        st.sampled_from(["fresh", "read", "worn"]), st.integers(0, 10**6)
+    ),
+)
+def test_precondition_matches_the_per_page_fill(
+    blocks, pages, channels, ways, over_provisioning, fill, strategy, start
+):
+    shape = (blocks, pages, channels, ways, over_provisioning, strategy, start)
+    device, twin = _device(*shape), _device(*shape)
+    assert _outcome(device, lambda: device.precondition(fill)) == _outcome(
+        twin, lambda: _fill_page_by_page(twin.ftl, fill)
+    )
+
+
+def test_overflowing_fill_raises_like_the_per_page_path():
+    device = _device(2, 2, 8, 8, 0.0, AllocationStrategy.CWDP, ("fresh", 0))
+    with pytest.raises(GarbageCollectionError):
+        device.precondition(1.0)
+
+
+def test_fresh_fill_writes_in_one_pass(monkeypatch):
+    ftl, _ = make_ftl()
+
+    def per_page(lpn):
+        raise AssertionError("a fresh fill took the per-page path")
+
+    monkeypatch.setattr(ftl, "_materialise", per_page)
+    assert ftl.precondition(0.5) == int(ftl.logical_pages * 0.5)
+    ftl.assert_consistent()
 
 
 def test_planes_touched_by_reports_program_planes():

@@ -78,6 +78,37 @@ def test_remap_physical_rejects_live_target():
         table.remap_physical(100, 200)
 
 
+def test_bulk_load_mirrors_map_page():
+    loaded, mapped = MappingTable(100), MappingTable(100)
+    loaded.load([3, 1, 2], [30, 10, 20])
+    for lpn, ppn in ((3, 30), (1, 10), (2, 20)):
+        mapped.map_page(lpn, ppn)
+    assert list(loaded.items()) == list(mapped.items())
+    assert loaded.reverse_lookup(10) == 1
+    assert loaded.updates == 0  # a load rebuilds; its caller counts writes
+    loaded.assert_bijective()
+
+
+@pytest.mark.parametrize("lpns, ppns, message", [
+    ([0, 100], [1, 2], "outside logical space"),
+    ([-1, 0], [1, 2], "outside logical space"),
+    ([4, 4], [1, 2], "LPN repeated"),
+    ([4, 5], [2, 2], "PPN repeated"),
+])
+def test_bulk_load_rejects_bad_columns(lpns, ppns, message):
+    table = MappingTable(100)
+    with pytest.raises(MappingError, match=message):
+        table.load(lpns, ppns)
+    assert table.mapped_count == 0
+
+
+def test_bulk_load_needs_an_empty_table():
+    table = MappingTable(100)
+    table.map_page(1, 10)
+    with pytest.raises(MappingError, match="non-empty"):
+        table.load([2], [20])
+
+
 def test_empty_space_rejected():
     with pytest.raises(MappingError):
         MappingTable(0)

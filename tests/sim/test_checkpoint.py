@@ -5,8 +5,11 @@ import re
 
 import pytest
 
+from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.spec import ExperimentScale, make_spec
+from repro.experiments.spec import ExperimentScale, build_config, make_spec
+from repro.ftl.allocator import AllocationStrategy
+from repro.ftl.cache import DramCache
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
@@ -14,6 +17,7 @@ from repro.sim.checkpoint import (
     restore_device,
     snapshot_device,
 )
+from repro.ssd.device import SsdDevice
 
 SCALE = ExperimentScale(
     requests=80,
@@ -26,6 +30,21 @@ SCALE = ExperimentScale(
 def _spec(design="venice", warmup="fill 0.3; steps 120"):
     return make_spec(design, "performance-optimized", "hm_0", SCALE,
                      warmup=warmup)
+
+
+def _ppn_holding(state, page_state):
+    """Flat page number of the first page the snapshot's blocks hold in
+    ``page_state``: ``"i"`` for an invalid page, None for a free one."""
+    geometry = state["geometry"]
+    blocks_per_plane = geometry["blocks_per_plane"]
+    pages_per_block = geometry["pages_per_block"]
+    for plane_flat, block, _, pages in state["blocks"]:
+        first = (plane_flat * blocks_per_plane + block) * pages_per_block
+        if page_state is None and len(pages) < pages_per_block:
+            return first + len(pages)
+        if page_state is not None and page_state in pages:
+            return first + pages.index(page_state)
+    raise AssertionError(f"no page in state {page_state!r}")
 
 
 class TestWarmupPhaseGrammar:
@@ -80,8 +99,24 @@ class TestSnapshotRestore:
         assert snapshot_device(device) == state
 
     def test_snapshot_is_json_canonical(self):
+        # snapshot_device builds its value from JSON-native types and never
+        # round-trips it, so a tuple, an int key or a non-bool flag would
+        # show up here as a difference from the disk-loaded form.
         state, _ = _spec(warmup="fill 0.2").compute_checkpoint()
         assert json.loads(json.dumps(state)) == state
+        device = SsdDevice(
+            build_config("performance-optimized", SCALE),
+            DesignKind.BASELINE,
+            allocation=AllocationStrategy.RANDOM,
+            cache=DramCache(capacity_pages=4),
+        )
+        device.precondition(0.85)
+        device.churn(0.35)
+        device.ftl.cache.lookup_write(7)
+        churned = snapshot_device(device)
+        assert churned["cache"] == [[7, True]]
+        assert any("i" in pages for *_, pages in churned["blocks"])
+        assert json.loads(json.dumps(churned)) == churned
 
     def test_restore_rejects_geometry_mismatch(self):
         state, _ = _spec().compute_checkpoint()
@@ -196,6 +231,32 @@ class TestSnapshotRestore:
             target = target[key]
         target[last] = value
         device = spec._build_device(spec.build_config(), with_faults=False)
+        with pytest.raises(SimulationError, match=re.escape(field)):
+            restore_device(device, tampered)
+
+    @pytest.mark.parametrize("column, bad_value, field", [
+        (0, lambda state, lpns, pages: lpns + 5, "mapping LPN"),
+        (0, lambda state, lpns, pages: -1, "mapping LPN"),
+        (1, lambda state, lpns, pages: _ppn_holding(state, "i"), "mapping PPN"),
+        (1, lambda state, lpns, pages: _ppn_holding(state, None), "mapping PPN"),
+        (1, lambda state, lpns, pages: pages + 3, "mapping PPN"),
+    ], ids=[
+        "lpn-past-end", "negative-lpn", "ppn-on-invalid-page",
+        "ppn-on-free-page", "ppn-past-end",
+    ])
+    def test_restore_rejects_a_corrupt_mapping(
+        self, churned_baseline, column, bad_value, field
+    ):
+        # The first pair's LPN or PPN is replaced; every other pair and
+        # every block stays as snapshotted.
+        spec, state = churned_baseline
+        device = spec._build_device(spec.build_config(), with_faults=False)
+        tampered = json.loads(json.dumps(state))
+        tampered["mapping"][0][column] = bad_value(
+            tampered,
+            device.ftl.logical_pages,
+            device.config.geometry.total_pages,
+        )
         with pytest.raises(SimulationError, match=re.escape(field)):
             restore_device(device, tampered)
 
