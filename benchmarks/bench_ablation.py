@@ -15,7 +15,8 @@ import pytest
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import build_config, make_device, trace_for
+from repro.experiments.runner import make_device
+from repro.experiments.spec import build_config, trace_for
 from repro.hil.request import IoKind, IoRequest
 
 from benchmarks.conftest import BENCH_SCALE, emit

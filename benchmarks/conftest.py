@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.spec import ExperimentScale
 from repro.experiments.store import ResultStore
 
 # One fixed benchmark scale so all figures are mutually comparable.

@@ -13,12 +13,12 @@ import sys
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
+from repro.experiments.runner import run_design_suite
+from repro.experiments.spec import (
     ALL_DESIGNS,
     ExperimentScale,
     build_config,
     channel_pressure,
-    run_design_suite,
     trace_for,
 )
 

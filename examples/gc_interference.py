@@ -12,7 +12,8 @@ Run:  python examples/gc_interference.py
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ExperimentScale, build_config, make_device
+from repro.experiments.runner import make_device
+from repro.experiments.spec import ExperimentScale, build_config
 from repro.hil.request import IoKind, IoRequest
 
 

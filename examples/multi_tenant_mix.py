@@ -14,12 +14,8 @@ import sys
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    ExperimentScale,
-    build_config,
-    run_design_suite,
-    trace_for,
-)
+from repro.experiments.runner import run_design_suite
+from repro.experiments.spec import ExperimentScale, build_config, trace_for
 from repro.workloads.mixes import MIX_CATALOG
 
 

@@ -10,12 +10,8 @@ Run:  python examples/tail_latency_analysis.py
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    ExperimentScale,
-    build_config,
-    run_workload_on,
-    trace_for,
-)
+from repro.experiments.runner import run_workload_on
+from repro.experiments.spec import ExperimentScale, build_config, trace_for
 
 
 def main() -> None:

@@ -84,8 +84,12 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
 from repro.experiments.executor import execute_specs, make_executor
 from repro.experiments.reporting import format_table, speedup_table
-from repro.experiments.runner import ExperimentScale, make_spec, run_suite
-from repro.experiments.spec import TRACE_WORKLOAD_PREFIX
+from repro.experiments.runner import run_suite
+from repro.experiments.spec import (
+    TRACE_WORKLOAD_PREFIX,
+    ExperimentScale,
+    make_spec,
+)
 from repro.experiments.store import ResultStore
 from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
@@ -404,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ftl_sweep.add_argument(
         "--workload",
         default=None,
-        help="trace to sustain (default prxy_0, the write-heaviest trace)",
+        help="trace or Table 3 mix to sustain (default prxy_0, the "
+        "write-heaviest trace)",
     )
     ftl_sweep.add_argument("--requests", type=int, default=600)
     ftl_sweep.add_argument("--seed", type=int, default=42)
@@ -570,7 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qos_sweep.add_argument(
         "--workload",
         default=None,
-        help="trace each tenant replays (default hm_0)",
+        help="trace or Table 3 mix each tenant replays (default hm_0; a "
+        "mix needs --policies)",
     )
     qos_sweep.add_argument("--requests", type=int, default=300)
     qos_sweep.add_argument("--seed", type=int, default=42)
@@ -761,14 +767,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scale(requests: int, seed: int) -> ExperimentScale:
-    return ExperimentScale(
-        requests=requests,
-        requests_per_mix_constituent=max(50, requests // 3),
-        seed=seed,
-    )
-
-
 def _store(args: argparse.Namespace) -> Optional[ResultStore]:
     if not getattr(args, "cache", None):
         return None
@@ -850,7 +848,7 @@ def _emit_run_result(result, as_json: bool) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     # FTL knobs join the spec digest only when given on the command line;
     # a knob-free invocation produces byte-identical specs and results.
     device_kwargs = {}
@@ -868,7 +866,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.preset,
         args.workload,
         scale,
-        mix=args.workload in mix_names(),
         **device_kwargs,
     )
     result = execute_specs([spec], store=_store(args))[spec]
@@ -876,13 +873,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     results = run_suite(
         args.preset,
         args.workload,
         scale,
-        mix=args.workload in mix_names(),
         executor=executor,
         store=store,
     )
@@ -928,7 +924,7 @@ def _print_figure(name: str, result: dict) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     requested = args.workloads
     if args.trace is not None:
         if not args.trace:
@@ -941,6 +937,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 "--trace and --workloads are mutually exclusive"
             )
         requested = [TRACE_WORKLOAD_PREFIX + path for path in args.trace]
+    # run_figure checks the names too; checking first means a bad name
+    # creates no store or queue directory.
     workloads = figures.validate_figure_workloads(args.name, requested)
     executor, store = _orchestration(args)
     result = figures.run_figure(
@@ -961,7 +959,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     results = figures.run_all_figures(
         scale,
@@ -1082,7 +1080,7 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     options = {}
     if args.time_scale is not None:
         options["time_scale"] = args.time_scale
@@ -1143,7 +1141,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.faults import DEFAULT_LINK_COUNTS, run_faults_sweep
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     link_counts = (
         args.link_counts if args.link_counts else list(DEFAULT_LINK_COUNTS)
     )
@@ -1154,7 +1152,6 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
         scale=scale,
         link_counts=link_counts,
         seed=args.seed,
-        mix=args.workload in mix_names(),
         executor=executor,
         store=store,
     )
@@ -1343,7 +1340,7 @@ def _parse_member_faults(entries, count: int):
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet import make_fleet_spec, run_fleet
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     designs = args.designs if args.designs else args.design
     count = len(args.designs) if args.designs else args.devices
     fleet = make_fleet_spec(
@@ -1357,7 +1354,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         sample=min(args.sample, count) if args.sample > 0 else 0,
         qos=args.qos,
         burst=args.burst,
-        mix=args.workload in mix_names(),
         faults=_parse_member_faults(args.faults, count),
     )
     executor, store = _orchestration(args)
@@ -1460,7 +1456,7 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         run_fleet_sweep,
     )
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     payload = run_fleet_sweep(
         args.design,
@@ -1473,7 +1469,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         sample=max(0, args.sample),
         qos=args.qos,
         burst=args.burst,
-        mix=args.workload in mix_names(),
         executor=executor,
         store=store,
     )

@@ -48,15 +48,19 @@ from repro.experiments.motivation import (
 )
 from repro.experiments.reporting import format_table, geometric_mean
 from repro.experiments.runner import (
-    ExperimentScale,
-    build_config,
     make_device,
     run_design_suite,
     run_suite,
     run_workload_on,
 )
 from repro.experiments.queue import Task, WorkQueue, default_owner_id
-from repro.experiments.spec import RunSpec, make_spec, matrix_specs
+from repro.experiments.spec import (
+    ExperimentScale,
+    RunSpec,
+    build_config,
+    make_spec,
+    matrix_specs,
+)
 from repro.experiments.store import ResultStore
 from repro.experiments.worker import QueueExecutor, QueueWorker
 

@@ -122,7 +122,6 @@ def _sweep_plan(
     link_counts: Sequence[int],
     designs: Sequence[DesignKind],
     seed: int,
-    mix: bool,
 ) -> Tuple[str, Dict[int, Tuple[List[Edge], Tuple[RunSpec, ...]]]]:
     """Sample each count's link set exactly once and pair it with its specs."""
     config = build_config(preset, scale)
@@ -130,14 +129,12 @@ def _sweep_plan(
     plan: Dict[int, Tuple[List[Edge], Tuple[RunSpec, ...]]] = {}
     for count in dict.fromkeys(int(k) for k in link_counts):
         links = degradation_links(rows, cols, count, seed)
-        schedule = link_fault_schedule(links)
         specs = matrix_specs(
             preset,
             (workload,),
             scale,
             designs,
-            mix=mix,
-            faults=schedule.to_spec() or None,
+            faults=link_fault_schedule(links),
         )
         plan[count] = (links, specs)
     return f"{rows}x{cols}", plan
@@ -150,8 +147,6 @@ def sweep_specs(
     link_counts: Sequence[int] = DEFAULT_LINK_COUNTS,
     designs: Sequence[DesignKind] = SWEEP_DESIGNS,
     seed: int = 42,
-    *,
-    mix: bool = False,
 ) -> Dict[int, Tuple[RunSpec, ...]]:
     """The spec matrix of one degradation sweep: ``{k: specs-at-k-links}``.
 
@@ -161,7 +156,7 @@ def sweep_specs(
     for smaller ``k``), so the curve measures added failures, not different
     failure geography.
     """
-    _, plan = _sweep_plan(preset, workload, scale, link_counts, designs, seed, mix)
+    _, plan = _sweep_plan(preset, workload, scale, link_counts, designs, seed)
     return {count: specs for count, (_, specs) in plan.items()}
 
 
@@ -173,7 +168,6 @@ def run_faults_sweep(
     designs: Sequence[DesignKind] = SWEEP_DESIGNS,
     seed: int = 42,
     *,
-    mix: bool = False,
     executor=None,
     store=None,
 ) -> Dict[str, object]:
@@ -189,7 +183,7 @@ def run_faults_sweep(
     """
     scale = scale or ExperimentScale()
     mesh, plan = _sweep_plan(
-        preset, workload, scale, link_counts, designs, seed, mix
+        preset, workload, scale, link_counts, designs, seed
     )
     all_specs = [spec for _, specs in plan.values() for spec in specs]
     results = execute_specs(all_specs, executor=executor, store=store)

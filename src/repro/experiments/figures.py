@@ -13,7 +13,9 @@ figure plots.  Declaring figures this way buys two things:
 
 The per-figure functions (``fig9_speedup`` etc.) keep their historical
 signatures and remain the unit-test surface; they are thin wrappers over
-the declarations.
+the declarations.  Every entry point checks its names with
+:func:`validate_figure_workloads` before it builds a spec, so a name of
+the wrong kind, or an empty list, fails by name before anything simulates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.experiments.executor import execute_specs
 from repro.experiments.reporting import geometric_mean
 from repro.experiments.spec import (
     ALL_DESIGNS,
+    SPEC_CLAUSES,
     TRACE_WORKLOAD_PREFIX,
     ExperimentScale,
     RunSpec,
@@ -36,9 +39,6 @@ from repro.experiments.spec import (
 )
 from repro.metrics.collector import RunResult
 from repro.power.area import venice_area_report
-from repro.sim.checkpoint import WarmupPhase
-from repro.sim.convergence import EarlyStopPolicy
-from repro.sim.faults import FaultSchedule
 from repro.power.models import PowerModel
 from repro.workloads.catalog import workload_names
 from repro.workloads.formats import trace_stem
@@ -153,13 +153,16 @@ def fig4_motivation(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
-    specs, reduce = _plan_fig4(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    return run_figure("fig4", scale, workloads, executor=executor, store=store)
 
 
 # --------------------------------------------------------------------- #
 # Figure 9: Venice speedup on both configurations
 # --------------------------------------------------------------------- #
+
+def _fig9_name(preset: str) -> str:
+    return "fig9a" if preset.startswith("perf") else "fig9b"
+
 
 def _plan_fig9(
     preset: str, scale: ExperimentScale, workloads: Optional[Sequence[str]]
@@ -170,7 +173,7 @@ def _plan_fig9(
     def reduce(results: SpecResults) -> Dict[str, object]:
         speedups = _speedups(_matrix_of(specs, results))
         return {
-            "figure": "fig9a" if preset.startswith("perf") else "fig9b",
+            "figure": _fig9_name(preset),
             "preset": preset,
             "speedups": speedups,
             "gmean": _gmeans(speedups),
@@ -188,6 +191,7 @@ def fig9_speedup(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
+    validate_figure_workloads(_fig9_name(preset), workloads)
     specs, reduce = _plan_fig9(preset, scale, workloads)
     return reduce(execute_specs(specs, executor=executor, store=store))
 
@@ -231,6 +235,7 @@ def fig10_throughput(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
+    validate_figure_workloads("fig10", workloads)
     specs, reduce = _plan_fig10(preset, scale, workloads)
     return reduce(execute_specs(specs, executor=executor, store=store))
 
@@ -285,8 +290,7 @@ def fig11_tail_latency(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
-    specs, reduce = _plan_fig11(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    return run_figure("fig11", scale, workloads, executor=executor, store=store)
 
 
 # --------------------------------------------------------------------- #
@@ -297,19 +301,14 @@ def _plan_fig12(
     scale: ExperimentScale, mixes: Optional[Sequence[str]]
 ) -> Plan:
     mixes = tuple(mixes) if mixes is not None else tuple(mix_names())
-    # `trace:<path>` entries replay a recorded multi-tenant stream directly
-    # (mix=False: the file already interleaves its tenants), Table 3 names
-    # synthesise the published mix.
-    trace_entries = tuple(
-        name for name in mixes if name.startswith(TRACE_WORKLOAD_PREFIX)
-    )
-    mix_entries = tuple(
-        name for name in mixes if not name.startswith(TRACE_WORKLOAD_PREFIX)
-    )
+    # Table 3 names first, then `trace:<path>` entries (recorded
+    # multi-tenant streams, replayed as plain workloads), each in the order
+    # given.
     specs = matrix_specs(
-        "performance-optimized", mix_entries, scale, ALL_DESIGNS, mix=True
-    ) + matrix_specs(
-        "performance-optimized", trace_entries, scale, ALL_DESIGNS
+        "performance-optimized",
+        sorted(mixes, key=lambda name: name.startswith(TRACE_WORKLOAD_PREFIX)),
+        scale,
+        ALL_DESIGNS,
     )
 
     def reduce(results: SpecResults) -> Dict[str, object]:
@@ -331,8 +330,7 @@ def fig12_mixed(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
-    specs, reduce = _plan_fig12(scale, mixes)
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    return run_figure("fig12", scale, mixes, executor=executor, store=store)
 
 
 # --------------------------------------------------------------------- #
@@ -379,8 +377,7 @@ def fig13_conflicts(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
-    specs, reduce = _plan_fig13(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    return run_figure("fig13", scale, workloads, executor=executor, store=store)
 
 
 # --------------------------------------------------------------------- #
@@ -430,8 +427,7 @@ def fig14_power_energy(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
-    specs, reduce = _plan_fig14(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    return run_figure("fig14", scale, workloads, executor=executor, store=store)
 
 
 # --------------------------------------------------------------------- #
@@ -482,6 +478,7 @@ def fig15_sensitivity(
     executor=None,
     store=None,
 ) -> Dict[str, object]:
+    validate_figure_workloads("fig15", workloads)
     specs, reduce = _plan_fig15(scale, workloads, geometries)
     return reduce(execute_specs(specs, executor=executor, store=store))
 
@@ -572,16 +569,25 @@ FIGURES: Dict[str, FigureDef] = {
 FIGURE_NAMES: Tuple[str, ...] = tuple(FIGURES)
 
 
+def _figure(name: str) -> FigureDef:
+    if name not in FIGURES:
+        raise ConfigurationError(
+            f"unknown figure {name!r}; expected one of {', '.join(FIGURES)}"
+        )
+    return FIGURES[name]
+
+
 def validate_figure_workloads(
     name: str, workloads: Optional[Sequence[str]]
 ) -> Optional[List[str]]:
     """Check a ``--workloads`` request against what the figure accepts.
 
     Raises :class:`ConfigurationError` with an actionable message when the
-    flag does not apply (table4) or names are of the wrong kind (fig12 takes
-    mix names, the trace figures take Table 2 trace names).
+    figure is unknown, the flag does not apply (table4), the list is empty,
+    or names are of the wrong kind (fig12 takes mix names, the trace
+    figures take Table 2 trace names).
     """
-    definition = FIGURES[name]
+    definition = _figure(name)
     if workloads is None:
         return None
     if definition.workload_kind == "none":
@@ -629,27 +635,6 @@ def validate_figure_workloads(
     return list(workloads)
 
 
-def _figure_overrides(
-    faults: Optional[str],
-    warmup: Optional[str],
-    early_stop: Optional[str],
-) -> Dict[str, str]:
-    """Canonicalised spec-field overrides a figure run applies to each cell.
-
-    Each override twins every cell of the figure with the field set, so the
-    modified figure (degraded fabric, warmed-up devices, early-stopped
-    measured phases) lives under distinct digests beside the exact one.
-    """
-    overrides: Dict[str, str] = {}
-    if faults:
-        overrides["faults"] = FaultSchedule.parse(faults).to_spec()
-    if warmup:
-        overrides["warmup"] = WarmupPhase.parse(warmup).to_spec()
-    if early_stop:
-        overrides["early_stop"] = EarlyStopPolicy.parse(early_stop).to_spec()
-    return overrides
-
-
 def run_figure(
     name: str,
     scale: ExperimentScale = ExperimentScale(),
@@ -663,34 +648,25 @@ def run_figure(
 ) -> Dict[str, object]:
     """Execute one figure's spec set (cache-aware) and reduce it.
 
-    ``faults`` applies one fault schedule (grammar string, see
-    docs/faults.md) to every run of the figure, regenerating the figure on
-    a degraded fabric; the faulted specs are distinct cache entries, so
-    pristine and degraded figures coexist in one store.  ``warmup`` and
-    ``early_stop`` (docs/performance.md) likewise twin every cell with a
-    checkpointed warm-up phase and a steady-state early-stop policy --
-    cells of one design share a single warm-up through the checkpoint
-    store that ``execute_specs`` wires up automatically.
+    ``workloads`` are the figure's names -- Table 2 traces, or Table 3
+    mixes for fig12 -- checked by :func:`validate_figure_workloads`
+    (``None`` = the figure's default set).  The figure then runs through
+    :func:`run_all_figures`, so ``faults``, ``warmup``, and ``early_stop``
+    behave exactly as there.
     """
-    if name not in FIGURES:
-        raise ConfigurationError(
-            f"unknown figure {name!r}; expected one of {', '.join(FIGURES)}"
-        )
-    specs, reduce = FIGURES[name].plan(scale, workloads)
-    overrides = _figure_overrides(faults, warmup, early_stop)
-    if overrides:
-        # Reducers close over the plan's original spec objects, so execute
-        # the overridden twins and key the results back by the originals.
-        twins = {
-            spec: replace(spec, **overrides) for spec in dict.fromkeys(specs)
-        }
-        results = execute_specs(
-            list(twins.values()), executor=executor, store=store
-        )
-        return reduce(
-            {original: results[twin] for original, twin in twins.items()}
-        )
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    validate_figure_workloads(name, workloads)
+    # run_all_figures reads whichever list this figure's kind takes.
+    return run_all_figures(
+        scale,
+        workloads=workloads,
+        mixes=workloads,
+        figures=(name,),
+        executor=executor,
+        store=store,
+        faults=faults,
+        warmup=warmup,
+        early_stop=early_stop,
+    )[name]
 
 
 def run_all_figures(
@@ -710,41 +686,46 @@ def run_all_figures(
     All figures' spec sets are unioned and executed together -- through the
     parallel executor when one is supplied -- then each figure is reduced
     from the shared results.  ``workloads`` overrides the Table 2 trace set
-    of the trace figures; ``mixes`` overrides fig12's mix list.  The
-    ``faults`` / ``warmup`` / ``early_stop`` overrides apply to every cell
-    of every selected figure, exactly as in :func:`run_figure`.
+    of the trace figures; ``mixes`` overrides fig12's mix list.
+
+    ``faults`` applies one fault schedule (grammar string, see
+    docs/faults.md) to every cell, regenerating the figures on a degraded
+    fabric.  ``warmup`` and ``early_stop`` (docs/performance.md) likewise
+    give every cell a checkpointed warm-up phase and a steady-state
+    early-stop policy; cells of one design share a single warm-up through
+    the checkpoint store that ``execute_specs`` wires up.  Each override
+    twins every cell under a distinct digest, so the modified and the exact
+    figures coexist in one store.
     """
     names = tuple(figures) if figures is not None else FIGURE_NAMES
     plans: Dict[str, Plan] = {}
     all_specs: List[RunSpec] = []
     for name in names:
-        if name not in FIGURES:
-            raise ConfigurationError(
-                f"unknown figure {name!r}; expected one of {', '.join(FIGURES)}"
-            )
-        definition = FIGURES[name]
-        if definition.workload_kind == "mixes":
-            chosen = mixes
-        elif definition.workload_kind == "traces":
-            chosen = workloads
-        else:
-            chosen = None
+        definition = _figure(name)
+        chosen = {"mixes": mixes, "traces": workloads}.get(
+            definition.workload_kind
+        )
         validate_figure_workloads(name, chosen)
         plan = definition.plan(scale, chosen)
         plans[name] = plan
         all_specs.extend(plan[0])
-    overrides = _figure_overrides(faults, warmup, early_stop)
-    if overrides:
-        twins = {
-            spec: replace(spec, **overrides)
-            for spec in dict.fromkeys(all_specs)
-        }
-        twin_results = execute_specs(
-            list(twins.values()), executor=executor, store=store
+    # Canonicalised here too, so a bad clause fails even when no figure
+    # has cells to twin (table4 alone).
+    overrides = {
+        key: SPEC_CLAUSES[key](value)
+        for key, value in (
+            ("faults", faults), ("warmup", warmup), ("early_stop", early_stop)
         )
-        results = {
-            original: twin_results[twin] for original, twin in twins.items()
-        }
-    else:
-        results = execute_specs(all_specs, executor=executor, store=store)
-    return {name: plan[1](results) for name, plan in plans.items()}
+        if value
+    }
+    # Reducers close over the plans' original specs, so key the twins'
+    # results back by the originals.
+    twins = {
+        spec: replace(spec, **overrides) if overrides else spec
+        for spec in dict.fromkeys(all_specs)
+    }
+    executed = execute_specs(
+        list(twins.values()), executor=executor, store=store
+    )
+    results = {spec: executed[twin] for spec, twin in twins.items()}
+    return {name: reduce(results) for name, (_, reduce) in plans.items()}

@@ -99,7 +99,7 @@ def fair_share_rate(
     that factor by design, so the nominal rate is *not* sustainable --
     capacity is ``nominal / pressure``, and each tenant's fair share of
     it is what a token bucket should meter.  Plain (non-mix) workloads
-    only, matching the isolation sweep.
+    only: a sweep over a Table 3 mix names its policies.
     """
     config = build_config(preset, scale)
     trace = trace_for(workload, config, scale)

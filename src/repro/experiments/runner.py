@@ -1,36 +1,26 @@
-"""Running (design x config x workload) matrices, on top of run specs.
+"""Running (design x config x workload) matrices on materialized inputs.
 
-The canonical description of a run is :class:`repro.experiments.spec.RunSpec`;
-this module re-exports the spec-layer vocabulary (scales, config/trace
-builders, design sets) and adds two things:
+The canonical description of a run is :class:`repro.experiments.spec.RunSpec`
+(built with :func:`~repro.experiments.spec.make_spec`); this module adds
 
 * the *materialized* path (:func:`run_workload_on` / :func:`run_design_suite`)
   for callers that already hold a config and a trace object (tests, examples,
   ablations), and
-* the *declarative* path (:func:`suite_specs` / :func:`run_suite`) that
-  routes named workloads through the executor and result store, which is what
-  the CLI and figure layer build on.
+* :func:`run_suite`, its declarative counterpart, which routes a named
+  workload through the executor and result store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.config.ssd_config import DesignKind, SsdConfig
 from repro.experiments.executor import execute_specs
 from repro.experiments.spec import (
     ALL_DESIGNS,
-    PRIOR_DESIGNS,
     ExperimentScale,
-    RunSpec,
     Scalar,
-    accelerate_to_pressure,
-    build_config,
-    channel_pressure,
-    footprint_for,
-    make_spec,
     matrix_specs,
-    trace_for,
 )
 from repro.metrics.collector import RunResult
 from repro.ssd.device import SsdDevice
@@ -38,22 +28,10 @@ from repro.ssd.factory import supports_geometry
 from repro.workloads.trace import Trace
 
 __all__ = [
-    "ALL_DESIGNS",
-    "PRIOR_DESIGNS",
-    "ExperimentScale",
-    "RunSpec",
-    "accelerate_to_pressure",
-    "build_config",
-    "channel_pressure",
-    "footprint_for",
     "make_device",
-    "make_spec",
-    "matrix_specs",
     "run_design_suite",
     "run_suite",
     "run_workload_on",
-    "suite_specs",
-    "trace_for",
 ]
 
 
@@ -111,37 +89,12 @@ def run_design_suite(
     return results
 
 
-def suite_specs(
-    preset: str,
-    workload: str,
-    scale: ExperimentScale,
-    designs: Sequence[DesignKind] = ALL_DESIGNS,
-    *,
-    mix: bool = False,
-    with_cdf: bool = False,
-    geometry: Optional[Sequence[int]] = None,
-    **device_kwargs: Scalar,
-) -> Sequence[RunSpec]:
-    """Specs for one named workload across a design set."""
-    return matrix_specs(
-        preset,
-        (workload,),
-        scale,
-        designs,
-        mix=mix,
-        with_cdf=with_cdf,
-        geometry=geometry,
-        **device_kwargs,
-    )
-
-
 def run_suite(
     preset: str,
     workload: str,
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     executor=None,
     store=None,
@@ -149,18 +102,12 @@ def run_suite(
 ) -> Dict[str, RunResult]:
     """Declarative counterpart of :func:`run_design_suite`.
 
-    Builds the spec set for a *named* workload, executes it through the
-    (possibly parallel) executor with store-backed caching, and returns
-    results keyed by design name.
+    Builds the spec set for a *named* workload (a Table 2 trace or a
+    Table 3 mix), executes it through the (possibly parallel) executor with
+    store-backed caching, and returns results keyed by design name.
     """
-    specs = suite_specs(
-        preset,
-        workload,
-        scale,
-        designs,
-        mix=mix,
-        with_cdf=with_cdf,
-        **device_kwargs,
+    specs = matrix_specs(
+        preset, (workload,), scale, designs, with_cdf=with_cdf, **device_kwargs
     )
     results = execute_specs(specs, executor=executor, store=store)
     return {spec.design: results[spec] for spec in specs}

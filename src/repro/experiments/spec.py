@@ -14,8 +14,8 @@ carries names and knobs, never live objects), it can be
   (design x preset x workload) matrix.
 
 The materialization helpers (``build_config`` / ``trace_for`` / pressure
-acceleration) live here too; :mod:`repro.experiments.runner` re-exports them
-so existing callers keep working.
+acceleration) live here too, and so does the spec vocabulary:
+:data:`SPEC_CLAUSES` names the string-grammar clauses a spec may carry.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from repro.ssd.device import SsdDevice
 from repro.ssd.factory import supports_geometry
 from repro.workloads.catalog import generate_workload
 from repro.workloads.formats import resolve_trace_path, trace_digest, trace_stem
-from repro.workloads.mixes import generate_mix
+from repro.workloads.mixes import MIX_CATALOG, generate_mix
 from repro.workloads.replay import TraceWorkload
 from repro.workloads.synthetic import SyntheticGenerator, WorkloadSpec
 from repro.workloads.trace import Trace
@@ -115,6 +116,18 @@ class ExperimentScale:
             requests_per_mix_constituent=1700,
             blocks_per_plane=128,
             pages_per_block=128,
+        )
+
+    @classmethod
+    def for_requests(cls, requests: int, seed: int = 42) -> "ExperimentScale":
+        """The scale the CLI and the service build from requests and seed.
+
+        A mix replays a third of ``requests`` per constituent, at least 50.
+        """
+        return cls(
+            requests=requests,
+            requests_per_mix_constituent=max(50, requests // 3),
+            seed=seed,
         )
 
 
@@ -238,6 +251,42 @@ _CHECKPOINT_SCALE_FIELDS = (
 )
 
 
+def _canonical(grammar, value: object) -> str:
+    """``value`` -- a ``grammar`` instance or its grammar string -- in
+    canonical form (``grammar.to_spec()``)."""
+    if not isinstance(value, grammar):
+        value = grammar.parse(value)
+    return value.to_spec()
+
+
+# repro.fleet imports this module, so the fleet grammars load lazily.
+def _fleet(value: object) -> str:
+    from repro.fleet.member import FleetMember
+
+    return _canonical(FleetMember, value)
+
+
+def _qos(value: object) -> str:
+    from repro.fleet.qos import canonical_qos
+
+    return canonical_qos(value)
+
+
+#: The string-grammar clauses of a :class:`RunSpec`, each with the
+#: canonicaliser that validates it and returns its canonical string (clause
+#: order, units, and whitespace never split a digest).  Every clause joins
+#: the spec digest, and an empty clause is a strict no-op: it is left out of
+#: the canonical payload, so the digests, store entries, and results of
+#: specs without it are those of a library without the clause.
+SPEC_CLAUSES: Dict[str, Callable[[object], str]] = {
+    "faults": partial(_canonical, FaultSchedule),
+    "fleet": _fleet,
+    "warmup": partial(_canonical, WarmupPhase),
+    "early_stop": partial(_canonical, EarlyStopPolicy),
+    "qos": _qos,
+}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One fully-specified simulation run, by value.
@@ -255,38 +304,23 @@ class RunSpec:
     one store entry, and a file that changes under a recorded path is
     detected (:meth:`verify_trace`) instead of silently served stale.
 
-    ``faults`` carries a fault schedule in its canonical grammar form
-    (:meth:`repro.sim.faults.FaultSchedule.to_spec`); it participates in the
-    digest, so a faulted run and its pristine twin are distinct cache
-    entries.  The empty schedule is a strict no-op: it is omitted from the
-    canonical payload entirely, so pre-fault spec digests (and their store
-    entries) are unchanged.
+    ``mix`` marks a Table 3 mix; :func:`make_spec` sets it from the
+    workload name.
 
-    ``fleet`` marks this spec as one member device of a multi-SSD fleet:
-    it carries the canonical member descriptor
-    (:meth:`repro.fleet.member.FleetMember.to_spec` -- index/shape,
-    tenant count, placement policy, optional burst clause), which selects
-    the device's dispatcher share of the fleet's tenant traffic instead
-    of the plain workload trace.  Like ``faults``, it participates in the
-    digest and the empty descriptor is a strict no-op (key omitted,
-    pre-fleet digests unchanged).
-
-    ``qos`` names the dispatcher QoS policy
-    (:func:`repro.fleet.qos.canonical_qos` grammar) applied to the merged
-    tenant stream before placement; it requires ``fleet`` (QoS schedules
-    tenants, and only fleet members have them).  Same contract again:
-    canonicalised, digest-joining, and the empty policy is a strict no-op
-    (key omitted, pre-QoS digests and results unchanged).
-
-    ``warmup`` declares a warm-up phase in its canonical grammar form
-    (:meth:`repro.sim.checkpoint.WarmupPhase.to_spec`): the measured phase
-    then starts from a checkpointed device state instead of a pristine one.
-    ``early_stop`` declares a steady-state convergence policy
-    (:meth:`repro.sim.convergence.EarlyStopPolicy.to_spec`) that may halt
-    the measured phase early and extrapolate to the full horizon.  Both
-    participate in the digest and both are strict no-ops when empty (keys
-    omitted; exact-mode digests, store entries, and results are
-    bit-identical to a library without either feature).
+    The five clauses of :data:`SPEC_CLAUSES` carry grammar strings in
+    canonical form: ``faults`` a fault schedule
+    (:class:`~repro.sim.faults.FaultSchedule`, injected in the measured
+    phase); ``fleet`` a member descriptor
+    (:class:`~repro.fleet.member.FleetMember`), which replays this device's
+    dispatcher share of a fleet's tenant traffic instead of the plain
+    trace; ``warmup`` a warm-up phase
+    (:class:`~repro.sim.checkpoint.WarmupPhase`), so the measured phase
+    starts from a checkpointed device state; ``early_stop`` a steady-state
+    policy (:class:`~repro.sim.convergence.EarlyStopPolicy`) that may halt
+    the measured phase and extrapolate to the full horizon; and ``qos`` a
+    dispatcher QoS policy (:func:`repro.fleet.qos.canonical_qos`), which
+    requires ``fleet`` because only fleet members have tenants.  Each joins
+    the digest, and each is a strict no-op when empty.
     """
 
     design: str
@@ -336,40 +370,10 @@ class RunSpec:
             raise ConfigurationError(
                 "a spec cannot be both a Table 3 mix and a trace replay"
             )
-        if self.faults:
-            # Canonicalise (and validate) the schedule so equal schedules --
-            # regardless of clause order, units, or whitespace -- digest and
-            # cache identically.
-            object.__setattr__(
-                self, "faults", FaultSchedule.parse(self.faults).to_spec()
-            )
-        if self.fleet:
-            # Same canonicalisation contract as faults.  Imported lazily:
-            # repro.fleet.spec imports this module, so a module-level
-            # import here would be circular.
-            from repro.fleet.member import FleetMember
-
-            object.__setattr__(
-                self, "fleet", FleetMember.parse(self.fleet).to_spec()
-            )
-        if self.warmup:
-            # Same canonicalisation contract as faults: clause order,
-            # number formatting, and whitespace never split the digest.
-            object.__setattr__(
-                self, "warmup", WarmupPhase.parse(self.warmup).to_spec()
-            )
-        if self.early_stop:
-            object.__setattr__(
-                self,
-                "early_stop",
-                EarlyStopPolicy.parse(self.early_stop).to_spec(),
-            )
-        if self.qos:
-            # Same canonicalisation contract (and the same lazy import
-            # as ``fleet``: repro.fleet imports this module).
-            from repro.fleet.qos import canonical_qos
-
-            object.__setattr__(self, "qos", canonical_qos(self.qos))
+        for name, canonical in SPEC_CLAUSES.items():
+            value = getattr(self, name)
+            if value:
+                object.__setattr__(self, name, canonical(value))
         if self.qos and not self.fleet:
             raise ConfigurationError(
                 "qos schedules a fleet's tenant streams; it requires a "
@@ -381,11 +385,7 @@ class RunSpec:
     def to_dict(self) -> Dict[str, object]:
         """Plain-data form; ``from_dict`` inverts it losslessly.
 
-        The ``faults`` and ``fleet`` keys appear only for faulted / fleet
-        -member specs: omitting the empty values keeps the canonical
-        payload -- and therefore every pre-existing spec digest and store
-        entry -- bit-identical to a version of the library without fault
-        injection or fleet support.
+        Empty clauses are left out (see :data:`SPEC_CLAUSES`).
         """
         payload: Dict[str, object] = {
             "design": self.design,
@@ -400,16 +400,10 @@ class RunSpec:
             "trace_digest": self.trace_digest,
             "trace_options": {key: value for key, value in self.trace_options},
         }
-        if self.faults:
-            payload["faults"] = self.faults
-        if self.fleet:
-            payload["fleet"] = self.fleet
-        if self.warmup:
-            payload["warmup"] = self.warmup
-        if self.early_stop:
-            payload["early_stop"] = self.early_stop
-        if self.qos:
-            payload["qos"] = self.qos
+        for name in SPEC_CLAUSES:
+            value = getattr(self, name)
+            if value:
+                payload[name] = value
         return payload
 
     @classmethod
@@ -440,11 +434,7 @@ class RunSpec:
                     for k, v in dict(payload.get("trace_options") or {}).items()
                 )
             ),
-            faults=str(payload.get("faults") or ""),
-            fleet=str(payload.get("fleet") or ""),
-            warmup=str(payload.get("warmup") or ""),
-            early_stop=str(payload.get("early_stop") or ""),
-            qos=str(payload.get("qos") or ""),
+            **{name: str(payload.get(name) or "") for name in SPEC_CLAUSES},
         )
 
     @property
@@ -697,17 +687,11 @@ def make_spec(
     workload: str,
     scale: Optional[ExperimentScale] = None,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     geometry: Optional[Sequence[int]] = None,
     trace: Optional[Union[str, Path]] = None,
     trace_options: Optional[Mapping[str, Scalar]] = None,
-    faults: Optional[Union[str, FaultSchedule]] = None,
-    fleet: Optional[str] = None,
-    warmup: Optional[Union[str, WarmupPhase]] = None,
-    early_stop: Optional[Union[str, EarlyStopPolicy]] = None,
-    qos: Optional[str] = None,
-    **device_kwargs: Scalar,
+    **device_kwargs: object,
 ) -> RunSpec:
     """Build a normalised :class:`RunSpec` (the preferred constructor).
 
@@ -725,33 +709,31 @@ def make_spec(
       workload name, that file's path and digest are recorded, so the run
       replays the real trace; synthetic generation is the fallback.
 
+    A Table 3 mix name (:func:`repro.workloads.mixes.mix_names`) makes the
+    spec a mix: it synthesises the published mix, never resolves a trace
+    file, and cannot be combined with ``trace=``.
+
     ``trace_options`` forwards replay knobs (``time_scale``,
     ``lba_policy``) to :class:`~repro.workloads.replay.TraceWorkload`; they
     participate in the digest.
 
-    ``faults`` accepts a :class:`~repro.sim.faults.FaultSchedule` or its
-    grammar string; it is canonicalised into the spec (and the digest).
-    ``None``/empty means a pristine fabric and leaves the digest untouched.
-
-    ``fleet`` accepts a fleet member descriptor string
-    (:class:`~repro.fleet.member.FleetMember` grammar); prefer
-    :func:`repro.fleet.spec.make_fleet_spec`, which builds consistent
-    descriptors for every member of a fleet.  ``None``/empty means an
-    ordinary single-device run and leaves the digest untouched.
-    ``qos`` accepts a dispatcher QoS policy string
-    (:func:`repro.fleet.qos.canonical_qos` grammar); it requires
-    ``fleet`` and is likewise a strict no-op when ``None``/empty.
-
-    ``warmup`` accepts a :class:`~repro.sim.checkpoint.WarmupPhase` or its
-    grammar string (``"fill 0.5; steps 400"``); ``early_stop`` accepts an
-    :class:`~repro.sim.convergence.EarlyStopPolicy` or its grammar string
-    (``"window 100; tolerance 0.01; patience 2; min 200"``).  Both are
-    canonicalised into the spec and the digest; ``None``/empty means the
-    exact legacy run and leaves the digest untouched.
+    A keyword named in :data:`SPEC_CLAUSES` sets that clause from its
+    grammar string or grammar object -- for example
+    ``faults="0 link (0,1)-(0,2) down"``, ``warmup=WarmupPhase(fill=0.5)``,
+    ``early_stop="window 100; min 200"``; ``None`` or empty leaves it
+    unset.  Prefer :func:`repro.fleet.spec.make_fleet_spec` for ``fleet``
+    and ``qos``: it builds consistent descriptors for every member of a
+    fleet.  Every other keyword is a device kwarg.
     """
+    clauses = {
+        name: device_kwargs.pop(name) or ""
+        for name in SPEC_CLAUSES
+        if name in device_kwargs
+    }
     if "exact_stats" not in device_kwargs and exact_stats_default():
         device_kwargs["exact_stats"] = True
     name = design.value if isinstance(design, DesignKind) else str(design).lower()
+    mix = workload in MIX_CATALOG
     if workload.startswith(TRACE_WORKLOAD_PREFIX):
         explicit = workload[len(TRACE_WORKLOAD_PREFIX):]
         if not explicit:
@@ -780,12 +762,6 @@ def make_spec(
         if found is not None:
             trace_path = str(found)
             content_digest = trace_digest(found)
-    if isinstance(faults, FaultSchedule):
-        faults = faults.to_spec()
-    if isinstance(warmup, WarmupPhase):
-        warmup = warmup.to_spec()
-    if isinstance(early_stop, EarlyStopPolicy):
-        early_stop = early_stop.to_spec()
     return RunSpec(
         design=name,
         preset=preset,
@@ -798,11 +774,7 @@ def make_spec(
         trace_path=trace_path,
         trace_digest=content_digest,
         trace_options=tuple(sorted((trace_options or {}).items())),
-        faults=faults or "",
-        fleet=fleet or "",
-        warmup=warmup or "",
-        early_stop=early_stop or "",
-        qos=qos or "",
+        **clauses,
     )
 
 
@@ -812,40 +784,23 @@ def matrix_specs(
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    mix: bool = False,
-    with_cdf: bool = False,
     geometry: Optional[Sequence[int]] = None,
-    faults: Optional[Union[str, FaultSchedule]] = None,
-    warmup: Optional[Union[str, WarmupPhase]] = None,
-    early_stop: Optional[Union[str, EarlyStopPolicy]] = None,
-    **device_kwargs: Scalar,
+    **kwargs: object,
 ) -> Tuple[RunSpec, ...]:
     """The spec set of one (workload x design) matrix slice.
 
     Designs whose geometry requirements the config violates (pnSSD on a
     non-square array) are skipped, matching the paper's Figure 15 footnote.
-    ``faults`` applies one fault schedule to every spec of the slice
-    (failure sweeps compare designs under identical fault sets); ``warmup``
-    and ``early_stop`` likewise apply one amortization recipe to every
-    spec, which is what lets the whole slice share per-design checkpoints.
+    Every other keyword goes to :func:`make_spec` for every spec of the
+    slice: one fault schedule (failure sweeps compare designs under
+    identical fault sets), one warm-up and early-stop recipe (which lets
+    the slice share per-design checkpoints), ``with_cdf``, device kwargs.
     """
     probe = build_config(preset, scale)
     if geometry is not None:
         probe = probe.with_geometry(int(geometry[0]), int(geometry[1]))
     return tuple(
-        make_spec(
-            design,
-            preset,
-            workload,
-            scale,
-            mix=mix,
-            with_cdf=with_cdf,
-            geometry=geometry,
-            faults=faults,
-            warmup=warmup,
-            early_stop=early_stop,
-            **device_kwargs,
-        )
+        make_spec(design, preset, workload, scale, geometry=geometry, **kwargs)
         for workload in workloads
         for design in designs
         if supports_geometry(design, probe)

@@ -282,7 +282,6 @@ def sweep_fleet_specs(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     **device_kwargs,
 ) -> Dict[str, Dict[int, FleetSpec]]:
     """The fleet grid of one sweep: ``{placement: {device_count: spec}}``.
@@ -313,7 +312,6 @@ def sweep_fleet_specs(
                 sample=min(int(sample), count) if sample else 0,
                 qos=qos,
                 burst=burst,
-                mix=mix,
                 **device_kwargs,
             )
             for count in counts
@@ -334,7 +332,6 @@ def run_fleet_sweep(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     executor=None,
     store=None,
     **device_kwargs,
@@ -361,7 +358,6 @@ def run_fleet_sweep(
         sample=sample,
         qos=qos,
         burst=burst,
-        mix=mix,
         **device_kwargs,
     )
     all_specs = [

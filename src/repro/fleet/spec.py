@@ -171,7 +171,6 @@ def make_fleet_spec(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     trace: Optional[str] = None,
     trace_options: Optional[Mapping[str, Scalar]] = None,
     faults: Union[
@@ -257,7 +256,6 @@ def make_fleet_spec(
             preset,
             workload,
             scale,
-            mix=mix,
             trace=trace,
             trace_options=trace_options,
             faults=member_faults[index],
@@ -267,7 +265,7 @@ def make_fleet_spec(
                 tenants=tenants,
                 placement=placement,
                 burst=burst,
-            ).to_spec(),
+            ),
             qos=qos,
             export_histogram=True,
             **device_kwargs,

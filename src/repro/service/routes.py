@@ -13,7 +13,7 @@ Routing is deliberately tiny -- five endpoints, stdlib only:
 Handlers return :class:`Response` values; the
 :class:`ServiceRequestHandler` glue writes them out.  Client errors are
 *structured*: a malformed submission body answers 400 with the exact
-:func:`~repro.experiments.runner.make_spec` /
+:func:`~repro.experiments.spec.make_spec` /
 :class:`~repro.errors.ConfigurationError` message, machine-readable under
 ``{"error": {"type", "message"}}``.
 """

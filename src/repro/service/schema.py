@@ -1,7 +1,7 @@
 """``POST /v1/runs`` payloads: validation and canonicalisation.
 
 Submission is a **pure function of the JSON body**: every field resolves
-through :func:`~repro.experiments.runner.make_spec` (or
+through :func:`~repro.experiments.spec.make_spec` (or
 :func:`~repro.fleet.spec.make_fleet_spec`) at acceptance time, exactly the
 way the one-shot CLI resolves its flags, and the resulting canonical spec
 dicts are what the job table persists.  Consequences:
@@ -36,11 +36,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ExperimentScale, make_spec
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import ExperimentScale, RunSpec, make_spec
 from repro.fleet.spec import FleetSpec
 from repro.ssd.factory import design_names
-from repro.workloads.mixes import mix_names
 
 #: Payload kinds the service accepts.
 JOB_KINDS = ("run", "sweep", "fleet")
@@ -129,17 +127,6 @@ def _list_field(
     return list(value)
 
 
-def _scale_for(payload: Mapping[str, object]) -> ExperimentScale:
-    """The same requests/seed -> scale mapping the CLI applies."""
-    requests = _int_field(payload, "requests", 600, 1)
-    seed = _int_field(payload, "seed", 42, 0)
-    return ExperimentScale(
-        requests=requests,
-        requests_per_mix_constituent=max(50, requests // 3),
-        seed=seed,
-    )
-
-
 def _amortization(payload: Mapping[str, object]) -> Dict[str, Optional[str]]:
     return {
         "faults": _str_field(payload, "faults", None),
@@ -173,7 +160,11 @@ def job_from_payload(payload: object) -> Job:
         )
     _reject_unknown_keys(payload, kind)
     preset = _str_field(payload, "preset", "performance-optimized")
-    scale = _scale_for(payload)
+    # The same requests/seed -> scale mapping the CLI applies.
+    scale = ExperimentScale.for_requests(
+        _int_field(payload, "requests", 600, 1),
+        _int_field(payload, "seed", 42, 0),
+    )
     knobs = _amortization(payload)
     if kind == "run":
         return _run_job(payload, preset, scale, knobs)
@@ -190,14 +181,7 @@ def _run_job(
 ) -> Job:
     design = _str_field(payload, "design", "venice")
     workload = _str_field(payload, "workload", "hm_0")
-    spec = make_spec(
-        design,
-        preset,
-        workload,
-        scale,
-        mix=workload in mix_names(),
-        **knobs,
-    )
+    spec = make_spec(design, preset, workload, scale, **knobs)
     return Job(
         job_id=spec.digest,
         kind="run",
@@ -216,14 +200,7 @@ def _sweep_job(
     designs = _list_field(payload, "designs", design_names())
     workloads = _list_field(payload, "workloads", ["hm_0"])
     specs = tuple(
-        make_spec(
-            design,
-            preset,
-            workload,
-            scale,
-            mix=workload in mix_names(),
-            **knobs,
-        )
+        make_spec(design, preset, workload, scale, **knobs)
         for workload in workloads
         for design in designs
     )
@@ -275,7 +252,6 @@ def _fleet_job(
         sample=_int_field(payload, "sample", 0, 0),
         qos=_str_field(payload, "qos", "") or "",
         burst=_str_field(payload, "burst", "") or "",
-        mix=workload in mix_names(),
         faults=[knobs["faults"]] * (len(explicit) if explicit else devices)
         if knobs["faults"]
         else None,

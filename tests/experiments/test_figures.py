@@ -8,6 +8,7 @@ at larger scale.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.figures import (
     fig4_motivation,
     fig9_speedup,
@@ -17,10 +18,12 @@ from repro.experiments.figures import (
     fig13_conflicts,
     fig14_power_energy,
     fig15_sensitivity,
+    run_figure,
     table4_overheads,
 )
 from repro.experiments.reporting import format_table, geometric_mean, speedup_table
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.spec import ExperimentScale
+from repro.experiments.store import ResultStore
 
 TINY = ExperimentScale(
     requests=150,
@@ -113,6 +116,51 @@ def test_table4_reproduces_paper_arithmetic():
     assert result["link_vs_channel_power_saving"] == pytest.approx(0.9, abs=0.01)
     assert result["link_area_saving_fraction"] == pytest.approx(0.44, abs=0.001)
     assert result["links_total"] == 112.0
+
+
+#: Every figure entry point that takes names, as ``call(names, store)``.
+_ENTRY_POINTS = {
+    "run_figure": lambda names, store: run_figure(
+        "fig13", TINY, names, store=store
+    ),
+    "fig4": lambda names, store: fig4_motivation(TINY, names, store=store),
+    "fig9": lambda names, store: fig9_speedup(
+        "cost-optimized", TINY, names, store=store
+    ),
+    "fig10": lambda names, store: fig10_throughput(
+        "cost-optimized", TINY, names, store=store
+    ),
+    "fig11": lambda names, store: fig11_tail_latency(TINY, names, store=store),
+    "fig12": lambda names, store: fig12_mixed(TINY, names, store=store),
+    "fig13": lambda names, store: fig13_conflicts(TINY, names, store=store),
+    "fig14": lambda names, store: fig14_power_energy(TINY, names, store=store),
+    "fig15": lambda names, store: fig15_sensitivity(TINY, names, store=store),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("names", ["empty", "wrong-kind"])
+def test_figure_entry_points_reject_bad_names_before_simulating(
+    tmp_path, entry, names
+):
+    """A trace figure given a mix name (fig12: a trace name), or an empty
+    list, fails by name before a single cell is looked up or simulated."""
+    store = ResultStore(tmp_path / "store")
+    if names == "empty":
+        chosen = []
+    else:
+        chosen = ["hm_0"] if entry == "fig12" else ["mix1"]
+    with pytest.raises(ConfigurationError):
+        _ENTRY_POINTS[entry](chosen, store)
+    assert store.misses == 0
+    assert store.stats()["entries"] == 0
+
+
+def test_run_figure_rejects_names_for_an_analytic_figure():
+    with pytest.raises(ConfigurationError, match="analytic"):
+        run_figure("table4", TINY, ["hm_0"])
+    with pytest.raises(ConfigurationError, match="unknown figure"):
+        run_figure("fig99", TINY)
 
 
 # --------------------------------------------------------------------- #

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.config.ssd_config import DesignKind
-from repro.experiments.runner import (
+from repro.experiments.runner import run_design_suite, run_suite
+from repro.experiments.spec import (
     ALL_DESIGNS,
     ExperimentScale,
     accelerate_to_pressure,
     build_config,
     channel_pressure,
     footprint_for,
-    run_design_suite,
-    run_suite,
     trace_for,
 )
 from repro.workloads.catalog import generate_workload

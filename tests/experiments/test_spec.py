@@ -29,7 +29,6 @@ def test_digest_survives_dict_round_trip():
         "performance-optimized",
         "mix1",
         SCALE,
-        mix=True,
         with_cdf=True,
         geometry=(4, 16),
         enable_gc=False,
@@ -150,3 +149,51 @@ def test_make_spec_accepts_amortization_objects():
     )
     assert from_objects == from_strings
     assert from_objects.digest == from_strings.digest
+
+
+#: The scale and clause strings of the pinned digests below.
+PIN_SCALE = ExperimentScale(
+    requests=120,
+    requests_per_mix_constituent=40,
+    blocks_per_plane=16,
+    pages_per_block=16,
+)
+PIN_FAULTS = "100us link (0,1)-(0,2) down; 400us link (0,1)-(0,2) up"
+PIN_WARMUP = "fill 0.5; churn 0.2"
+PIN_EARLY_STOP = "window 60; tolerance 0.03; patience 2; min 240"
+
+
+def test_clause_digest_is_pinned():
+    spec = make_spec(
+        "venice", "performance-optimized", "hm_0", PIN_SCALE,
+        faults=PIN_FAULTS, warmup=PIN_WARMUP, early_stop=PIN_EARLY_STOP,
+    )
+    assert spec.digest == (
+        "e72ba94a1235d0a06b3b960b6a12c2b7ec49ebf07b4369ed01bad6698d0303dd"
+    )
+
+
+def test_mix_follows_from_the_workload_name():
+    spec = make_spec("baseline", "performance-optimized", "mix1", PIN_SCALE)
+    assert spec.mix is True
+    assert spec.digest == (
+        "067cc820a09f4bd1539c922685b07f79452b9792e72b49fc2fb9e97186dc64b6"
+    )
+    plain = make_spec("baseline", "performance-optimized", "hm_0", PIN_SCALE)
+    assert plain.mix is False
+
+
+def test_clause_table_names_every_string_clause():
+    from repro.experiments.spec import SPEC_CLAUSES
+
+    # Table order is payload key order, which store entries are written in.
+    assert list(SPEC_CLAUSES) == [
+        "faults", "fleet", "warmup", "early_stop", "qos",
+    ]
+    # An empty clause stays out of the payload; a set one is canonical.
+    bare = make_spec("venice", "perf", "hm_0", SCALE)
+    assert not set(SPEC_CLAUSES) & set(bare.to_dict())
+    spaced = make_spec(
+        "venice", "perf", "hm_0", SCALE, warmup=" steps 9 ;fill 0.5"
+    )
+    assert spaced.to_dict()["warmup"] == "fill 0.5; steps 9"

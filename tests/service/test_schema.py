@@ -133,3 +133,35 @@ def test_canonical_records_round_trip(payload):
     assert rebuilt.canonical == job.canonical
     if job.fleet is not None:
         assert rebuilt.fleet.digest == job.fleet.digest
+
+
+_PIN_FAULTS = "100us link (0,1)-(0,2) down; 400us link (0,1)-(0,2) up"
+
+
+@pytest.mark.parametrize(
+    "payload, job_id",
+    [
+        (
+            {"kind": "sweep", "designs": ["baseline", "venice"],
+             "workloads": ["hm_0", "mix1"], "requests": 120, "seed": 7,
+             "faults": _PIN_FAULTS, "warmup": "fill 0.5; churn 0.2",
+             "early_stop": "window 60; tolerance 0.03; patience 2; min 240"},
+            "36a4497f7fda378996e6afb6f7d5992f30c5ba35e622fe2d3e41fb9f6e9388b0",
+        ),
+        (
+            {"kind": "fleet", "design": "venice", "devices": 4, "tenants": 4,
+             "workload": "mix2", "requests": 120, "qos": "wfq:2,1,1,1",
+             "burst": "0x2", "faults": "0 link (0,1)-(0,2) down"},
+            "39da203344a1433a6f7b0d2c6208cdaae57f81a68e180bb29e88612c93e30c88",
+        ),
+        (
+            {"kind": "run", "design": "pssd", "workload": "mix3",
+             "requests": 90, "seed": 3},
+            "aab4d93cec29358d772ccc7b67c79c52f4ac3ce25973d3aa64339019aa510909",
+        ),
+    ],
+    ids=["sweep", "fleet", "run"],
+)
+def test_job_ids_are_pinned(payload, job_id):
+    """Clauses and mix workloads resolve to the same job ids as ever."""
+    assert job_from_payload(payload).job_id == job_id

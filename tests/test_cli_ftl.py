@@ -56,6 +56,26 @@ def test_ftl_sweep_results_are_pinned(capsys):
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SWEEP_SHA
 
 
+def test_ftl_sweep_runs_a_table3_mix(tmp_path, capsys):
+    store = tmp_path / "store"
+    args = [
+        "ftl", "sweep", "--workload", "mix1", "--requests", "40",
+        "--fills", "0.5", "--fill", "0.5", "--op", "0.07",
+        "--json", "--cache", str(store),
+    ]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["workload"] == "mix1"
+    for cells in payload["write_cliff"].values():
+        assert cells[0]["iops"] > 0
+    specs = [
+        json.loads(path.read_text())["spec"] for path in store.glob("*.json")
+    ]
+    assert specs and all(
+        spec["mix"] and spec["workload"] == "mix1" for spec in specs
+    )
+
+
 def test_ftl_sweep_rejects_bad_knob_values(capsys):
     assert main(TINY + ["--op", "0.9"]) == 2
     assert "over_provisioning" in capsys.readouterr().err

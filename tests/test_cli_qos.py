@@ -34,6 +34,27 @@ def test_qos_sweep_json_and_cache(tmp_path, capsys):
     assert warm == cold
 
 
+def test_qos_sweep_runs_a_table3_mix(tmp_path, capsys):
+    store = tmp_path / "store"
+    args = [
+        "qos", "sweep", "--workload", "mix1", "--requests", "40",
+        "--designs", "venice", "--placements", "round-robin",
+        "--levels", "1", "--policies", "none",
+        "--json", "--cache", str(store),
+    ]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["workload"] == "mix1"
+    cell = payload["curve"]["round-robin"]["none"]["venice"][0]
+    assert cell["requests_completed"] > 0
+    specs = [
+        json.loads(path.read_text())["spec"] for path in store.glob("*.json")
+    ]
+    assert specs and all(
+        spec["mix"] and spec["workload"] == "mix1" for spec in specs
+    )
+
+
 def test_qos_sweep_rejects_bad_policy(capsys):
     assert main(TINY + ["--policies", "warp-speed:9"]) == 2
     assert "policy" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import json
 
 from repro.cli import main
 from repro.experiments.queue import WorkQueue
-from repro.experiments.runner import ExperimentScale, make_spec
+from repro.experiments.spec import ExperimentScale, make_spec
 
 
 def test_serve_rejects_bad_flags(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_trace_spec_field_validation():
             trace_options=(("time_scale", 0.5),),
         )
     with pytest.raises(ConfigurationError):
-        make_spec("venice", "perf", "mix1", SCALE, mix=True, trace=str(MSR))
+        make_spec("venice", "perf", "mix1", SCALE, trace=str(MSR))
     with pytest.raises(ConfigurationError):
         make_spec("venice", "perf", "trace:", SCALE)
 
@@ -193,7 +193,7 @@ def test_env_resolution_happens_at_spec_construction(tmp_path, monkeypatch):
     assert synthetic.execute().requests_completed == 40
     # Mixes never auto-resolve: their digest is environment-independent.
     monkeypatch.setenv("VENICE_TRACE_DIR", str(tmp_path))
-    mix_spec = make_spec("venice", "perf", "mix1", scale, mix=True)
+    mix_spec = make_spec("venice", "perf", "mix1", scale)
     assert mix_spec.trace_path is None
 
 
