@@ -17,7 +17,7 @@ Run:  PYTHONPATH=src python examples/trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.experiments.store import ResultStore
 from repro.workloads import TraceWorkload, detect_format, trace_digest
@@ -69,7 +69,7 @@ def main() -> None:
 
         store = ResultStore(Path(scratch) / "store")
         execute_specs([spec], store=store)
-        warm = SerialExecutor()
+        warm = Executor()
         result = execute_specs([spec], executor=warm, store=store)[spec]
         print(f"warm-cache simulations: {warm.runs_completed}")
         print(f"p99 latency: {result.p99_latency_ns / 1e3:.1f} us "

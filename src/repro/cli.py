@@ -82,7 +82,7 @@ from repro.config.presets import PRESET_NAMES
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
-from repro.experiments.executor import execute_specs, make_executor
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.reporting import format_table, speedup_table
 from repro.experiments.runner import run_suite
 from repro.experiments.spec import (
@@ -575,8 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qos_sweep.add_argument(
         "--workload",
         default=None,
-        help="trace or Table 3 mix each tenant replays (default hm_0; a "
-        "mix needs --policies)",
+        help="trace or Table 3 mix each tenant replays (default hm_0)",
     )
     qos_sweep.add_argument("--requests", type=int, default=300)
     qos_sweep.add_argument("--seed", type=int, default=42)
@@ -784,28 +783,30 @@ def _orchestration(args: argparse.Namespace):
     ``--queue DIR`` routes the batch through a crash-safe work queue
     (enqueue-and-wait, participating as a worker); the queue binds the
     result store, so ``--cache`` names the same store every external
-    worker writes into.  Without it, ``--jobs``/``--timeout`` pick the
-    in-process serial or multiprocessing backend.
+    worker writes into.  Without it, ``--jobs``/``--timeout`` configure
+    the in-process :class:`~repro.experiments.executor.Executor`.
     """
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
+    # Built first: it checks --jobs and --timeout before a store or queue
+    # directory is made.
+    executor = Executor(
+        getattr(args, "jobs", 1), getattr(args, "timeout", None)
+    )
     queue_dir = getattr(args, "queue", None)
-    if queue_dir:
-        from repro.experiments.queue import WorkQueue
-        from repro.experiments.worker import QueueExecutor
+    if not queue_dir:
+        return executor, _store(args)
+    from repro.experiments.queue import WorkQueue
+    from repro.experiments.worker import QueueExecutor
 
-        queue = WorkQueue(
-            queue_dir,
-            store_dir=getattr(args, "cache", None),
-            lease_seconds=getattr(args, "lease", 30.0),
-            max_attempts=getattr(args, "max_attempts", 3),
-        )
-        executor = QueueExecutor(queue, timeout=timeout)
-        # Serve figure-level cache hits from the queue's bound store, so a
-        # warm re-run enqueues nothing that is already computed.
-        return executor, executor.worker.store
-    return make_executor(getattr(args, "jobs", 1), timeout), _store(args)
+    queue = WorkQueue(
+        queue_dir,
+        store_dir=getattr(args, "cache", None),
+        lease_seconds=getattr(args, "lease", 30.0),
+        max_attempts=getattr(args, "max_attempts", 3),
+    )
+    queued = QueueExecutor(queue, timeout=executor.timeout)
+    # Serve figure-level cache hits from the queue's bound store, so a
+    # warm re-run enqueues nothing that is already computed.
+    return queued, queued.worker.store
 
 
 def _emit_run_result(result, as_json: bool) -> int:
@@ -960,6 +961,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     scale = ExperimentScale.for_requests(args.requests, args.seed)
+    # As in `figure`: checking the names first means a bad name creates no
+    # store or queue directory.
+    figures.validate_matrix_names(args.figures, args.workloads, args.mixes)
     executor, store = _orchestration(args)
     results = figures.run_all_figures(
         scale,

@@ -15,7 +15,6 @@ from repro.config.ssd_config import (
 from repro.config.presets import (
     performance_optimized,
     cost_optimized,
-    venice_network_defaults,
     preset_by_name,
     PRESET_NAMES,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "DesignKind",
     "performance_optimized",
     "cost_optimized",
-    "venice_network_defaults",
     "preset_by_name",
     "PRESET_NAMES",
 ]

@@ -16,7 +16,7 @@ non-minimal fully-adaptive routing.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.config.ssd_config import (
     InterconnectConfig,
@@ -95,19 +95,6 @@ def cost_optimized(
         interconnect=InterconnectConfig(),
         seed=seed,
     )
-
-
-def venice_network_defaults() -> Dict[str, object]:
-    """Venice design parameters from Table 1, as a plain dict for reporting."""
-    return {
-        "topology": "8x8 2D mesh",
-        "link_width_bits": 8,
-        "link_frequency_ghz": 1.0,
-        "buffers_per_port": "two 8-bit",
-        "switching": "circuit switching",
-        "routing": "non-minimal fully-adaptive",
-        "router_per": "flash chip (separate router chip, chip unmodified)",
-    }
 
 
 _PRESETS = {

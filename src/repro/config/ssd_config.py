@@ -132,11 +132,6 @@ class InterconnectConfig:
             raise ConfigurationError("pssd_bandwidth_factor must be positive")
 
     @property
-    def link_rate(self) -> int:
-        """Mesh link bandwidth in bytes/second."""
-        return self.link_width_bytes * self.link_frequency_hz
-
-    @property
     def link_cycle_ns(self) -> float:
         return NS_PER_S / self.link_frequency_hz
 

@@ -4,8 +4,9 @@ The orchestration stack, bottom-up:
 
 * :mod:`repro.experiments.spec` -- :class:`RunSpec`, the canonical hashable
   description of one simulation run, plus config/trace materialization;
-* :mod:`repro.experiments.executor` -- serial and multiprocessing backends
-  that execute spec sets (rebuilding everything inside each worker);
+* :mod:`repro.experiments.executor` -- the executor that runs spec sets
+  inline, over a process pool, or one killable subprocess per spec, and
+  stores each result as it arrives;
 * :mod:`repro.experiments.store` -- the content-addressed JSON result store
   keyed by spec digest (one ``<digest>.json`` file per entry), so repeated
   invocations reuse prior runs;
@@ -20,12 +21,7 @@ reporting helpers render as text tables; the benchmark suite calls the same
 functions at reduced scale.
 """
 
-from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute_specs,
-    make_executor,
-)
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.figures import (
     FIGURE_NAMES,
     FIGURES,
@@ -65,15 +61,14 @@ from repro.experiments.store import ResultStore
 from repro.experiments.worker import QueueExecutor, QueueWorker
 
 __all__ = [
+    "Executor",
     "ExperimentScale",
     "FIGURE_NAMES",
     "FIGURES",
-    "ParallelExecutor",
     "QueueExecutor",
     "QueueWorker",
     "ResultStore",
     "RunSpec",
-    "SerialExecutor",
     "Task",
     "TimelineExample",
     "WorkQueue",
@@ -91,7 +86,6 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "make_device",
-    "make_executor",
     "make_spec",
     "matrix_specs",
     "run_all_figures",

@@ -1,16 +1,19 @@
-"""Executor backends: run sets of :class:`RunSpec`\\ s serially or in parallel.
+"""The executor: run spec sets and store each result the moment it arrives.
 
 The (design x preset x workload) matrix is embarrassingly parallel -- every
-run builds a fresh single-use :class:`~repro.ssd.device.SsdDevice` -- so the
-parallel backend simply ships specs to worker processes, each of which
-rebuilds the config and trace from the spec and simulates.  Both backends
-produce bit-identical :class:`RunResult`\\ s for the same specs because the
-simulation is fully seeded by the spec itself.
+run builds a fresh single-use :class:`~repro.ssd.device.SsdDevice` -- so one
+:class:`Executor` covers every mode: inline in the calling process
+(``jobs=1``), fanned out over a process pool whose workers rebuild the
+config and trace from the spec (``jobs>1``), or one killable subprocess per
+spec (any ``timeout``).  Every mode produces bit-identical
+:class:`RunResult`\\ s for the same specs because the simulation is fully
+seeded by the spec itself, and every mode writes a result to the store the
+moment it arrives, so an interrupted batch keeps each cell that finished.
 
-:func:`execute_specs` is the orchestration entry point figures and the CLI
-use: it deduplicates specs, satisfies what it can from an optional
-:class:`~repro.experiments.store.ResultStore`, executes only the misses, and
-records fresh results back into the store.
+:func:`execute_specs` is the orchestration entry point figures, the CLI and
+the service use: it deduplicates specs, satisfies what it can from an
+optional :class:`~repro.experiments.store.ResultStore`, and executes only
+the misses.
 
 Two robustness layers harden long sweeps:
 
@@ -24,24 +27,24 @@ Two robustness layers harden long sweeps:
   the spec that keeps killing its worker.
 
 Both layers report failures as :class:`~repro.errors.SpecRunError` entries
-inside one :class:`~repro.errors.ExecutionError`, raised only after every
-other spec has finished (and, under :func:`execute_specs`, been persisted
-to the store).
+inside one :class:`~repro.errors.ExecutionError`, which
+:func:`execute_specs` raises only after every other spec has finished and
+been stored.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import sys
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -56,6 +59,7 @@ from repro.sim.checkpoint import CheckpointStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.experiments.store import ResultStore
+    from repro.experiments.worker import QueueExecutor
 
 
 def execute_spec(
@@ -131,42 +135,21 @@ def _subprocess_entry(conn, spec: RunSpec, ref: object) -> None:
         conn.close()
 
 
-def execute_spec_isolated(
-    spec: RunSpec,
-    checkpoints: Optional[CheckpointStore] = None,
-    timeout: Optional[float] = None,
-) -> RunResult:
-    """Execute one spec in its own killable subprocess.
-
-    This is the unit the per-spec ``timeout`` machinery and the queue
-    workers build on: a simulation that hangs past ``timeout`` seconds is
-    SIGKILLed, and a subprocess that dies without reporting is diagnosed
-    by exit code.  Raises :class:`~repro.errors.SpecRunError` with reason
-    ``timeout`` / ``crash`` / ``exception``.
-    """
-    results, failures = _run_isolated(
-        [spec], checkpoint_ref(checkpoints), jobs=1, timeout=timeout
-    )
-    if failures:
-        raise failures[0]
-    return results[0]
-
-
 def _run_isolated(
     specs: Sequence[RunSpec],
     ref: object,
     jobs: int,
     timeout: Optional[float],
-) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
+    finish: Callable[[int, RunResult], None],
+) -> List[SpecRunError]:
     """Run each spec in its own subprocess, at most ``jobs`` at a time.
 
     Unlike a shared process pool, one subprocess per spec means a crash or
     a kill is attributable to exactly one spec, and a hung spec can be
-    killed without disturbing its siblings.  Returns results in spec order
-    (``None`` for failed entries) plus the collected failures.
+    killed without disturbing its siblings.  Each result goes to
+    ``finish(index, result)`` as it arrives; the failures are returned.
     """
     ctx = _worker_context()
-    results: List[Optional[RunResult]] = [None] * len(specs)
     failures: List[SpecRunError] = []
     pending = deque(enumerate(specs))
     live: Dict[int, Tuple[object, object, Optional[float]]] = {}
@@ -202,7 +185,7 @@ def _run_isolated(
                 if outcome is not None:
                     status, payload = outcome
                     if status == "ok":
-                        results[index] = payload
+                        finish(index, payload)
                     else:
                         failures.append(
                             SpecRunError(
@@ -241,179 +224,117 @@ def _run_isolated(
             proc.kill()
             proc.join()
             conn.close()
-    return results, failures
+    return failures
 
 
-class SerialExecutor:
-    """Run specs one after another in the calling process.
+def _run_pool(
+    specs: Sequence[RunSpec],
+    ref: object,
+    workers: int,
+    finish: Callable[[int, RunResult], None],
+) -> None:
+    """One shared pool pass, finishing each result as it completes.
 
-    With a ``timeout``, each spec instead runs in its own killable
-    subprocess (see :func:`execute_spec_isolated`) so one hung simulation
-    cannot stall the batch.
+    A spec lost to pool breakage is left unfinished; any other exception a
+    spec raises propagates.
+    """
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_worker_context()
+    ) as pool:
+        futures = {
+            pool.submit(_execute_packed, (spec, ref)): index
+            for index, spec in enumerate(specs)
+        }
+        for future in as_completed(futures):
+            if not isinstance(future.exception(), BrokenProcessPool):
+                finish(futures[future], future.result())
+
+
+class Executor:
+    """Run specs inline, over a process pool, or isolated per spec.
+
+    ``jobs`` and ``timeout`` carry the CLI's ``--jobs`` and ``--timeout``
+    semantics.  ``jobs=1`` runs specs one after another in the calling
+    process; ``jobs>1`` fans them out over a process pool; a ``timeout``
+    (seconds) runs each spec in its own killable subprocess, at most
+    ``jobs`` at a time, since a shared pool cannot kill one hung member.
+    A worker dying mid-spec (OOM kill, segfault) breaks the shared pool;
+    the unfinished specs are then retried one subprocess per spec, so
+    every healthy spec still completes and the offending spec's digest is
+    reported.
     """
 
-    jobs = 1
-
-    def __init__(self, timeout: Optional[float] = None) -> None:
+    def __init__(self, jobs: int = 1, timeout: Optional[float] = None) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
+        self.jobs = jobs
         self.timeout = timeout
         self.runs_completed = 0
-
-    def run_detailed(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Like :meth:`run`, but collect per-spec failures instead of
-        raising on the first one."""
-        if self.timeout is not None:
-            results, failures = _run_isolated(
-                specs, checkpoint_ref(checkpoints), 1, self.timeout
-            )
-        else:
-            results = [execute_spec(spec, checkpoints) for spec in specs]
-            failures = []
-        self.runs_completed += sum(1 for r in results if r is not None)
-        return results, failures
 
     def run(
         self,
         specs: Sequence[RunSpec],
         checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results
-
-
-class ParallelExecutor:
-    """Fan specs out over a process pool; results come back in spec order.
-
-    A worker process dying mid-spec (OOM kill, segfault) breaks the shared
-    pool; instead of surfacing the opaque ``BrokenProcessPool``, the
-    unfinished specs are retried in isolated single-spec subprocesses so
-    every healthy spec still completes and the offending spec's digest is
-    reported.  A ``timeout`` switches to isolated subprocesses outright
-    (a shared pool cannot kill one hung member).
-    """
-
-    def __init__(
-        self, jobs: Optional[int] = None, timeout: Optional[float] = None
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs or os.cpu_count() or 1
-        self.timeout = timeout
-        self.runs_completed = 0
-
-    def run_detailed(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
+        store: Optional["ResultStore"] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Pool execution with crash containment and optional timeouts."""
-        if not specs:
-            return [], []
+        """Execute ``specs``, putting each result into ``store`` as it arrives.
+
+        Returns the results in spec order (``None`` for a failed spec) and
+        the collected per-spec failures.
+        """
+        results: List[Optional[RunResult]] = [None] * len(specs)
+
+        def finish(index: int, result: RunResult) -> None:
+            results[index] = result
+            self.runs_completed += 1
+            if store is not None:
+                store.put(specs[index], result)
+
         ref = checkpoint_ref(checkpoints)
         workers = min(self.jobs, len(specs))
-        failures: List[SpecRunError] = []
         if self.timeout is not None:
-            results, failures = _run_isolated(
-                specs, ref, workers, self.timeout
+            return results, _run_isolated(
+                specs, ref, workers, self.timeout, finish
             )
-        elif workers <= 1:
-            results = [execute_spec(spec, checkpoints) for spec in specs]
-        else:
-            results = self._run_pool(specs, ref, workers)
-            unfinished = [
-                index for index, result in enumerate(results)
-                if result is None
-            ]
-            if unfinished:
-                # The pool broke.  Finish the stragglers one subprocess per
-                # spec: every healthy spec completes, and the spec whose
-                # execution kills its host process is precisely identified.
-                retried, failures = _run_isolated(
-                    [specs[index] for index in unfinished],
-                    ref,
-                    workers,
-                    None,
-                )
-                for index, result in zip(unfinished, retried):
-                    results[index] = result
-        self.runs_completed += sum(1 for r in results if r is not None)
+        if workers <= 1:
+            for index, spec in enumerate(specs):
+                finish(index, execute_spec(spec, checkpoints))
+            return results, []
+        _run_pool(specs, ref, workers, finish)
+        unfinished = [
+            index for index, result in enumerate(results) if result is None
+        ]
+        # A non-empty remainder means the pool broke.  Finishing it one
+        # subprocess per spec completes every healthy spec and precisely
+        # identifies the spec whose execution kills its host process.
+        failures = _run_isolated(
+            [specs[index] for index in unfinished],
+            ref,
+            workers,
+            None,
+            lambda position, result: finish(unfinished[position], result),
+        )
         return results, failures
-
-    def _run_pool(
-        self, specs: Sequence[RunSpec], ref: object, workers: int
-    ) -> List[Optional[RunResult]]:
-        """One shared pool pass; ``None`` marks specs lost to pool breakage."""
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_worker_context()
-        ) as pool:
-            futures = [
-                pool.submit(_execute_packed, (spec, ref)) for spec in specs
-            ]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool:
-                    # Every later future is doomed too; stop collecting and
-                    # let the isolation pass pick up whatever is missing.
-                    break
-        return results
-
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results
-
-
-def make_executor(
-    jobs: Optional[int], timeout: Optional[float] = None
-) -> "SerialExecutor | ParallelExecutor":
-    """``--jobs N`` semantics: 1/None stay serial, N>1 goes parallel.
-
-    ``timeout`` is the per-spec wall-clock limit in seconds (``--timeout``);
-    ``None`` means unbounded.
-    """
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
-    if jobs and jobs > 1:
-        return ParallelExecutor(jobs, timeout=timeout)
-    return SerialExecutor(timeout=timeout)
 
 
 def _prepare_checkpoints(
-    specs: Sequence[RunSpec],
-    checkpoints: CheckpointStore,
-    executor: "SerialExecutor | ParallelExecutor",
-) -> int:
+    specs: Sequence[RunSpec], checkpoints: CheckpointStore, jobs: int
+) -> None:
     """Compute every missing warm-up checkpoint the specs need, in parent.
 
     Deduplicates by checkpoint digest (a whole matrix slice typically needs
     one checkpoint per design) and fans the warm-up simulations out over a
-    process pool when the executor is parallel.  Returns the number of
-    warm-up simulations performed; after this pre-pass, worker processes
-    only ever read the store.
+    process pool of up to ``jobs`` workers.  After this pre-pass, worker
+    processes only ever read the store.
     """
     pending: Dict[str, RunSpec] = {}
     for spec in specs:
         digest = spec.checkpoint_digest
         if digest not in pending and digest not in checkpoints:
             pending[digest] = spec
-    if not pending:
-        return 0
     targets = list(pending.values())
-    jobs = getattr(executor, "jobs", 1)
     if jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(targets)), mp_context=_worker_context()
@@ -424,21 +345,22 @@ def _prepare_checkpoints(
         for spec in targets:
             digest, state = _compute_checkpoint(spec)
             checkpoints.put(digest, state)
-    return len(targets)
 
 
 def execute_specs(
     specs: Sequence[RunSpec],
     *,
-    executor: Optional["SerialExecutor | ParallelExecutor"] = None,
+    executor: Optional["Executor | QueueExecutor"] = None,
     store: Optional["ResultStore"] = None,
     checkpoints: Optional[CheckpointStore] = None,
 ) -> Dict[RunSpec, RunResult]:
     """Execute a spec set with deduplication and store-backed caching.
 
     Duplicate specs (figures sharing matrix slices) simulate once.  With a
-    store, previously-computed results are served from cache and new results
-    are persisted, so a repeat invocation performs zero simulations.
+    store, previously-computed results are served from cache and the
+    executor stores each new result as it arrives, so a repeat invocation
+    -- or the re-run of an interrupted one -- simulates only what is not
+    stored yet.
 
     Specs that declare a warm-up phase share device checkpoints through
     ``checkpoints``; when none is supplied one is created automatically --
@@ -449,12 +371,12 @@ def execute_specs(
     warm-up simulation, not N.
 
     Per-spec failures (a hung spec killed by the executor's ``timeout``, a
-    spec that crashes its worker process) are collected, every *other* spec
-    still executes and persists, and one
+    spec that crashes its worker process, a dead-lettered queue task) are
+    collected, every *other* spec still executes and is stored, and one
     :class:`~repro.errors.ExecutionError` naming the failed digests is
     raised at the end -- a single bad cell costs one cell, not the sweep.
     """
-    executor = executor or SerialExecutor()
+    executor = executor or Executor()
     unique = list(dict.fromkeys(specs))  # order-preserving dedup (hashable specs)
     results: Dict[RunSpec, RunResult] = {}
     missing: List[RunSpec] = []
@@ -476,22 +398,11 @@ def execute_specs(
             checkpoints = CheckpointStore(
                 store.directory / "checkpoints" if store is not None else None
             )
-        _prepare_checkpoints(needs_warmup, checkpoints, executor)
-    failures: List[SpecRunError] = []
-    if hasattr(executor, "run_detailed"):
-        run_results, failures = executor.run_detailed(missing, checkpoints)
-    elif checkpoints is not None:
-        run_results = executor.run(missing, checkpoints)
-    else:
-        # Keep the legacy single-argument call for custom executor
-        # implementations that predate checkpoint support.
-        run_results = executor.run(missing)
+        _prepare_checkpoints(needs_warmup, checkpoints, executor.jobs)
+    run_results, failures = executor.run(missing, checkpoints, store)
     for spec, result in zip(missing, run_results):
-        if result is None:
-            continue  # failed spec: reported via ExecutionError below
-        if store is not None:
-            store.put(spec, result)
-        results[spec] = result
+        if result is not None:  # a failed spec is reported below
+            results[spec] = result
     if failures:
         raise ExecutionError(failures)
     return results

@@ -123,7 +123,14 @@ def _sweep_plan(
     designs: Sequence[DesignKind],
     seed: int,
 ) -> Tuple[str, Dict[int, Tuple[List[Edge], Tuple[RunSpec, ...]]]]:
-    """Sample each count's link set exactly once and pair it with its specs."""
+    """Sample each count's link set exactly once and pair it with its specs.
+
+    Every design at a given ``k`` sees the *same* fault set (drawn by
+    :func:`degradation_links`), and the ``k`` sets are nested by
+    construction (the sample for ``k`` is a prefix-extension of the sample
+    for smaller ``k``), so the curve measures added failures, not different
+    failure geography.
+    """
     config = build_config(preset, scale)
     rows, cols = config.mesh_rows, config.mesh_cols
     plan: Dict[int, Tuple[List[Edge], Tuple[RunSpec, ...]]] = {}
@@ -138,26 +145,6 @@ def _sweep_plan(
         )
         plan[count] = (links, specs)
     return f"{rows}x{cols}", plan
-
-
-def sweep_specs(
-    preset: str,
-    workload: str,
-    scale: ExperimentScale,
-    link_counts: Sequence[int] = DEFAULT_LINK_COUNTS,
-    designs: Sequence[DesignKind] = SWEEP_DESIGNS,
-    seed: int = 42,
-) -> Dict[int, Tuple[RunSpec, ...]]:
-    """The spec matrix of one degradation sweep: ``{k: specs-at-k-links}``.
-
-    Every design at a given ``k`` sees the *same* fault set (drawn by
-    :func:`degradation_links`), and the ``k`` sets are nested by
-    construction (the sample for ``k`` is a prefix-extension of the sample
-    for smaller ``k``), so the curve measures added failures, not different
-    failure geography.
-    """
-    _, plan = _sweep_plan(preset, workload, scale, link_counts, designs, seed)
-    return {count: specs for count, (_, specs) in plan.items()}
 
 
 def run_faults_sweep(

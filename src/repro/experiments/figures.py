@@ -635,6 +635,25 @@ def validate_figure_workloads(
     return list(workloads)
 
 
+def validate_matrix_names(
+    figures: Optional[Sequence[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    mixes: Optional[Sequence[str]] = None,
+) -> Dict[str, Optional[Sequence[str]]]:
+    """Check a matrix request: ``{figure: the names it takes}``.
+
+    ``figures`` defaults to every figure; each one takes ``workloads`` or
+    ``mixes`` by its kind (``None`` for an analytic figure), checked by
+    :func:`validate_figure_workloads`.
+    """
+    chosen: Dict[str, Optional[Sequence[str]]] = {}
+    for name in tuple(figures) if figures is not None else FIGURE_NAMES:
+        kind = _figure(name).workload_kind
+        chosen[name] = {"mixes": mixes, "traces": workloads}.get(kind)
+        validate_figure_workloads(name, chosen[name])
+    return chosen
+
+
 def run_figure(
     name: str,
     scale: ExperimentScale = ExperimentScale(),
@@ -697,18 +716,13 @@ def run_all_figures(
     twins every cell under a distinct digest, so the modified and the exact
     figures coexist in one store.
     """
-    names = tuple(figures) if figures is not None else FIGURE_NAMES
-    plans: Dict[str, Plan] = {}
-    all_specs: List[RunSpec] = []
-    for name in names:
-        definition = _figure(name)
-        chosen = {"mixes": mixes, "traces": workloads}.get(
-            definition.workload_kind
-        )
-        validate_figure_workloads(name, chosen)
-        plan = definition.plan(scale, chosen)
-        plans[name] = plan
-        all_specs.extend(plan[0])
+    plans: Dict[str, Plan] = {
+        name: FIGURES[name].plan(scale, chosen)
+        for name, chosen in validate_matrix_names(
+            figures, workloads, mixes
+        ).items()
+    }
+    all_specs = [spec for specs, _ in plans.values() for spec in specs]
     # Canonicalised here too, so a bad clause fails even when no figure
     # has cells to twin (table4 alone).
     overrides = {

@@ -19,7 +19,8 @@ the whole grid executes as a single deduplicated
 re-run performs zero simulations.
 
 Calibration note: the replay clock targets ``scale.target_pressure``
-(default 1.6), i.e. devices are deliberately saturated, so a meaningful
+(default 1.6; ``scale.mix_target_pressure``, 1.8, for a Table 3 mix),
+i.e. devices are deliberately saturated, so a meaningful
 token-bucket rate is a tenant's fair share of device *capacity* --
 ``nominal trace rate / target_pressure`` -- not of the (already
 overcommitted) offered rate.  :func:`fair_share_rate` computes it from
@@ -45,6 +46,7 @@ from repro.fleet.qos import canonical_qos
 from repro.fleet.run import merge_tenant_payloads, roll_up
 from repro.fleet.spec import FleetSpec, make_fleet_spec
 from repro.sim.stats import LatencyRecorder
+from repro.workloads.mixes import MIX_CATALOG
 
 #: Offered-load multipliers of the adversarial tenant (1 = fair share).
 DEFAULT_BURST_LEVELS = (1, 2, 4, 8)
@@ -94,15 +96,16 @@ def fair_share_rate(
     """One tenant's fair share of device capacity, in requests/second.
 
     Materializes the accelerated base trace (each tenant replays it at
-    nominal rate) and divides its nominal request rate by
-    ``scale.target_pressure``: the replay clock overcommits the device by
-    that factor by design, so the nominal rate is *not* sustainable --
-    capacity is ``nominal / pressure``, and each tenant's fair share of
-    it is what a token bucket should meter.  Plain (non-mix) workloads
-    only: a sweep over a Table 3 mix names its policies.
+    nominal rate) and divides its nominal request rate by the pressure it
+    was accelerated to -- ``scale.target_pressure``, or
+    ``scale.mix_target_pressure`` for a Table 3 mix: the replay clock
+    overcommits the device by that factor by design, so the nominal rate
+    is *not* sustainable -- capacity is ``nominal / pressure``, and each
+    tenant's fair share of it is what a token bucket should meter.
     """
     config = build_config(preset, scale)
-    trace = trace_for(workload, config, scale)
+    mix = workload in MIX_CATALOG
+    trace = trace_for(workload, config, scale, mix=mix)
     requests = trace.requests
     if len(requests) < 2:
         raise ConfigurationError(
@@ -115,7 +118,9 @@ def fair_share_rate(
             f"workload {workload!r} has a degenerate arrival span"
         )
     nominal = (len(requests) - 1) * NS_PER_S / span_ns
-    return nominal / scale.target_pressure
+    return nominal / (
+        scale.mix_target_pressure if mix else scale.target_pressure
+    )
 
 
 def suggest_token_bucket(

@@ -16,7 +16,8 @@ Two consumers of :class:`~repro.experiments.queue.WorkQueue` live here:
   completes even with no external workers), and waits until every task is
   done or dead-lettered.  Because task ids are spec digests and results
   are content-addressed, an interrupted queued sweep re-run converges to
-  byte-identical results with zero lost and zero duplicated simulations.
+  byte-identical results with zero lost and zero duplicated simulations;
+  each result is written once, by the worker that ran it.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import QueueError, SimulationError, SpecRunError
-from repro.experiments.executor import execute_spec, execute_spec_isolated
+from repro.errors import (
+    ConfigurationError,
+    QueueError,
+    SimulationError,
+    SpecRunError,
+)
+from repro.experiments.executor import Executor
 from repro.experiments.queue import Task, WorkQueue, default_owner_id
 from repro.experiments.spec import RunSpec
+from repro.experiments.store import ResultStore
 from repro.metrics.collector import RunResult
 from repro.sim.checkpoint import CheckpointStore
 
@@ -75,7 +82,8 @@ class QueueWorker:
     unbounded); ``idle_exit`` makes the worker return once the queue stays
     empty for that many seconds (``None`` = keep polling forever, the
     long-running fleet-host mode).  ``timeout`` is the per-task wall-clock
-    limit, enforced by running the simulation in a killable subprocess.
+    limit: each task's spec runs through an :class:`Executor` with it,
+    which kills a simulation that overruns it.
     """
 
     def __init__(
@@ -93,7 +101,7 @@ class QueueWorker:
         self.max_tasks = max_tasks
         self.idle_exit = idle_exit
         self.poll_interval = poll_interval
-        self.timeout = timeout
+        self.executor = Executor(timeout=timeout)
         self.store = queue.result_store()
         self.completed = 0
         self.failed = 0
@@ -106,13 +114,13 @@ class QueueWorker:
         # the sweep front end's pre-pass) shares one warm-up per design.
         return CheckpointStore(self.store.directory / "checkpoints")
 
-    def _execute(self, task: Task) -> RunResult:
-        checkpoints = self._checkpoints_for(task.spec)
-        if self.timeout is not None:
-            return execute_spec_isolated(
-                task.spec, checkpoints, timeout=self.timeout
-            )
-        return execute_spec(task.spec, checkpoints)
+    def _execute(self, task: Task) -> None:
+        """Run the task's spec; the executor stores its result."""
+        _, failures = self.executor.run(
+            [task.spec], self._checkpoints_for(task.spec), self.store
+        )
+        if failures:
+            raise failures[0]
 
     def run_task(self, task: Task) -> bool:
         """Execute one leased task end to end; True when it completed.
@@ -136,15 +144,13 @@ class QueueWorker:
                 # instead of dead-lettering a perfectly runnable task.
                 result = None
             if result is None:
-                result = self._execute(task)
+                self._execute(task)
                 if heartbeat.lease_lost.is_set():
                     # Someone else owns (or already re-ran) the task now.
-                    # The content-addressed put below is still safe -- both
+                    # The content-addressed put was still safe -- both
                     # writers produce identical bytes -- but the queue
                     # bookkeeping belongs to the new owner.
-                    self.store.put(task.spec, result)
                     return False
-                self.store.put(task.spec, result)
             self.queue.complete(task)
             self.completed += 1
             return True
@@ -198,17 +204,18 @@ class QueueWorker:
 class QueueExecutor:
     """Executor backend that runs a spec batch through a work queue.
 
-    Drop-in for :class:`~repro.experiments.executor.SerialExecutor` inside
-    :func:`~repro.experiments.executor.execute_specs`: ``run`` enqueues
+    Takes the place of :class:`~repro.experiments.executor.Executor` inside
+    :func:`~repro.experiments.executor.execute_specs`: :meth:`run` enqueues
     every spec, participates in draining the queue (claim -- execute --
-    complete, exactly like an external worker), and polls until each spec
-    is done or dead-lettered.  External ``venice-sim worker`` processes
-    sharing the directory speed the batch up and are interchangeable with
-    the in-process participant.
+    store -- complete, exactly like an external worker), and polls until
+    each spec is done or dead-lettered.  External ``venice-sim worker``
+    processes sharing the directory speed the batch up and are
+    interchangeable with the in-process participant.
 
-    Dead-lettered specs raise :class:`~repro.errors.ExecutionError` via
-    ``run`` (after everything else finished); ``run_detailed`` reports
-    them as failures, so sweeps degrade gracefully instead of hanging.
+    It stores nothing itself: whichever worker ran a task wrote its result
+    into the queue's bound store before marking the task done, so a batch
+    writes each entry once.  Dead-lettered specs come back as failures,
+    so sweeps degrade gracefully instead of hanging.
     """
 
     jobs = 1
@@ -218,25 +225,36 @@ class QueueExecutor:
         queue: WorkQueue,
         *,
         owner: Optional[str] = None,
-        participate: bool = True,
         poll_interval: float = 0.2,
         timeout: Optional[float] = None,
     ) -> None:
         self.queue = queue
-        self.participate = participate
-        self.timeout = timeout
         self.poll_interval = poll_interval
         self.worker = QueueWorker(
             queue, owner=owner, timeout=timeout, poll_interval=poll_interval
         )
         self.runs_completed = 0
 
-    def run_detailed(
+    def run(
         self,
         specs: Sequence[RunSpec],
         checkpoints: Optional[CheckpointStore] = None,
+        store: Optional[ResultStore] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Enqueue-and-wait; failures are the batch's dead-lettered specs."""
+        """Enqueue-and-wait; failures are the batch's dead-lettered specs.
+
+        Results are read back from the queue's bound store, which is the
+        only ``store`` a queued batch can fill; the workers find their
+        warm-up checkpoints beside it, so ``checkpoints`` goes unused.
+        """
+        bound = self.worker.store
+        if store is not None and (
+            store.directory.resolve() != bound.directory.resolve()
+        ):
+            raise ConfigurationError(
+                f"a queued batch stores into the queue's store "
+                f"{bound.directory}, not {store.directory}"
+            )
         by_digest = {spec.digest: spec for spec in specs}
         self.queue.enqueue_specs(list(specs))
         while not self.queue.drained(list(by_digest)):
@@ -246,11 +264,9 @@ class QueueExecutor:
                 # Nothing claimable right now (other workers hold leases,
                 # or retries are backing off): wait a beat.
                 time.sleep(self.poll_interval)
-        store = self.worker.store
         dead = self.queue.dead_letters()
         results: List[Optional[RunResult]] = []
         failures: List[SpecRunError] = []
-        completed = 0
         for spec in specs:
             if spec.digest in dead:
                 letter = dead[spec.digest]
@@ -266,26 +282,13 @@ class QueueExecutor:
                 )
                 results.append(None)
                 continue
-            result = store.get(spec)
+            result = bound.get(spec)
             if result is None:
                 raise QueueError(
                     f"task {spec.digest[:12]} is marked done but its result "
-                    f"is missing from {store.directory}; run "
+                    f"is missing from {bound.directory}; run "
                     "`venice-sim store verify --repair` and re-run the sweep"
                 )
             results.append(result)
-            completed += 1
-        self.runs_completed += completed
+            self.runs_completed += 1
         return results, failures
-
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        from repro.errors import ExecutionError
-
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results

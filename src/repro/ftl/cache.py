@@ -109,9 +109,3 @@ class DramCache:
     def occupancy(self) -> int:
         """Number of logical pages currently resident."""
         return len(self._lru)
-
-    @property
-    def read_hit_rate(self) -> float:
-        """Fraction of reads served from DRAM (0.0 before any read)."""
-        total = self.read_hits + self.read_misses
-        return self.read_hits / total if total else 0.0

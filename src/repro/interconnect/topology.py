@@ -150,8 +150,3 @@ def xy_path(topology: MeshTopology, source: Coord, destination: Coord) -> List[C
         row += step
         path.append((row, col))
     return path
-
-
-def path_edges(path: List[Coord]) -> List[FrozenSet[Coord]]:
-    """Undirected edge keys of a node path."""
-    return [edge_key(a, b) for a, b in zip(path, path[1:])]

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List
 from repro.config.ssd_config import SsdConfig
 from repro.errors import ConfigurationError
 from repro.nand.address import ChipAddress, PhysicalPageAddress
-from repro.nand.chip import FlashBlock, FlashChip, FlashDie, FlashPlane
+from repro.nand.chip import FlashBlock, FlashChip, FlashDie
 from repro.sim.engine import Engine
 
 
@@ -51,10 +51,6 @@ class FlashArray:
             (chip.channel * self._ways + chip.way) * self._dies_per_chip + address.die
         ]
 
-    def plane_for(self, address: PhysicalPageAddress) -> FlashPlane:
-        """The plane holding ``address``."""
-        return self.die_for(address).planes[address.plane]
-
     def block_for(self, address: PhysicalPageAddress) -> FlashBlock:
         """The block holding ``address`` (the per-page hot path)."""
         chip = address.chip
@@ -85,10 +81,6 @@ class FlashArray:
             (channel * self._ways + way) * self._dies_per_chip + die
         ].failed = failed
 
-    def failed_dies(self) -> int:
-        """Number of dies currently marked failed."""
-        return sum(1 for die in self._dies_flat if die.failed)
-
     def iter_planes(self) -> Iterator[tuple]:
         """Yield ``(chip, die, plane)`` triples in CWDP order."""
         for chip in self.chips:
@@ -99,7 +91,3 @@ class FlashArray:
     def total_valid_pages(self) -> int:
         """Pages holding live data across the whole array."""
         return sum(plane.valid_pages for _, _, plane in self.iter_planes())
-
-    def total_free_pages(self) -> int:
-        """Pages not yet handed out across the whole array."""
-        return sum(plane.free_pages for _, _, plane in self.iter_planes())

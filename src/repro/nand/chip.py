@@ -305,11 +305,6 @@ class FlashPlane:
         return self.blocks[index]
 
     @property
-    def allocated_pages(self) -> int:
-        """Pages handed out across the plane's blocks since their erase."""
-        return self._allocated.pages
-
-    @property
     def erased_blocks(self) -> int:
         """How many of the plane's blocks are erased (kept by the blocks)."""
         return self._allocated.erased_blocks

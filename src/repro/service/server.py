@@ -40,8 +40,8 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import ExecutionError, ServiceError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.errors import ServiceError
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.store import ResultStore
 from repro.fileio import atomic_write_text
 from repro.service.jobs import JobStore
@@ -261,7 +261,7 @@ class SimulationService:
         # A fresh store per job makes `simulated` a pure delta: every
         # write this store performs belongs to this job.
         store = ResultStore(self.store_dir)
-        executor = SerialExecutor(timeout=self.config.timeout)
+        executor = Executor(timeout=self.config.timeout)
         try:
             # Rebuild inside the guard: a corrupt persisted record must
             # fail its job, not kill the worker thread.
@@ -285,35 +285,16 @@ class SimulationService:
         )
 
     @staticmethod
-    def _result_payload(job: Job, store: ResultStore, executor) -> dict:
-        # Execute member specs one at a time: `execute_specs` only persists
-        # results after its whole batch completes, so batching a sweep
-        # would leave a SIGKILLed daemon with zero durable progress.
-        # Per-member calls write each cell to the store as it finishes --
-        # the crash window restart adoption converges from.  Dedup and
-        # cache hits behave identically; like the batch form, a failed
-        # member is collected and every healthy member still runs.
-        members = (
-            list(job.fleet.active_members())
-            if job.fleet is not None
-            else job.specs
-        )
-        results = {}
-        failures = []
-        for spec in members:
-            try:
-                results.update(
-                    execute_specs([spec], executor=executor, store=store)
-                )
-            except ExecutionError as error:
-                failures.extend(error.failures)
-        if failures:
-            raise ExecutionError(failures)
+    def _result_payload(
+        job: Job, store: ResultStore, executor: Executor
+    ) -> dict:
+        # One batch per job: the executor stores each cell as it finishes,
+        # which is the durable progress restart adoption converges from.
         if job.kind == "fleet":
             from repro.fleet.run import run_fleet
 
-            # Every active member is now cached, so this is pure roll-up.
             return run_fleet(job.fleet, executor=executor, store=store)
+        results = execute_specs(job.specs, executor=executor, store=store)
         runs = [
             {
                 "digest": spec.digest,

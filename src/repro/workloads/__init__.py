@@ -15,7 +15,7 @@ at a directory of trace files makes the catalog prefer real traces with
 synthetic fallback (docs/trace-formats.md).
 """
 
-from repro.workloads.trace import Trace, trace_from_rows, load_trace_csv, save_trace_csv
+from repro.workloads.trace import Trace, trace_from_rows
 from repro.workloads.synthetic import WorkloadSpec, SyntheticGenerator, AddressPattern
 from repro.workloads.catalog import (
     WORKLOAD_CATALOG,
@@ -38,8 +38,6 @@ from repro.workloads.formats import (
 __all__ = [
     "Trace",
     "trace_from_rows",
-    "load_trace_csv",
-    "save_trace_csv",
     "WorkloadSpec",
     "SyntheticGenerator",
     "AddressPattern",

@@ -1,10 +1,9 @@
 """The simulator's own canonical CSV trace format.
 
 ``arrival_ns,kind,offset_bytes,size_bytes`` with a mandatory header row --
-exactly what :func:`repro.workloads.trace.save_trace_csv` writes and
-``venice-sim trace convert`` produces.  Because every field is already in
-canonical units, this format round-trips losslessly: converting any
-supported trace to venice CSV preserves its content digest.
+exactly what ``venice-sim trace convert`` writes.  Because every field is
+already in canonical units, this format round-trips losslessly: converting
+any supported trace to venice CSV preserves its content digest.
 """
 
 from __future__ import annotations

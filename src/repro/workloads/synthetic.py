@@ -20,8 +20,8 @@ pattern control; see DESIGN.md.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.config.ssd_config import KIB, NS_PER_US
 from repro.errors import WorkloadError
@@ -87,14 +87,6 @@ class WorkloadSpec:
     def read_fraction(self) -> float:
         """The published read percentage as a [0, 1] fraction."""
         return self.read_pct / 100.0
-
-    def intensified(self, factor: float, name: Optional[str] = None) -> "WorkloadSpec":
-        """Spec with inter-arrival time scaled by ``factor``."""
-        return replace(
-            self,
-            name=name or f"{self.name}-x{1 / factor:.2g}",
-            avg_interarrival_us=self.avg_interarrival_us * factor,
-        )
 
 
 class SyntheticGenerator:

@@ -1,11 +1,9 @@
-"""Trace container with derived statistics and CSV round-tripping."""
+"""Trace container with derived statistics."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
 from repro.config.ssd_config import NS_PER_US
 from repro.errors import WorkloadError
@@ -108,33 +106,3 @@ def trace_from_rows(
             )
         )
     return Trace(name, requests)
-
-
-def save_trace_csv(trace: Trace, path: Union[str, Path]) -> None:
-    """Persist a trace as ``arrival_ns,kind,offset_bytes,size_bytes`` rows."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["arrival_ns", "kind", "offset_bytes", "size_bytes"])
-        for request in trace.requests:
-            writer.writerow(
-                [
-                    request.arrival_ns,
-                    request.kind.value,
-                    request.offset_bytes,
-                    request.size_bytes,
-                ]
-            )
-
-
-def load_trace_csv(path: Union[str, Path], name: str = "") -> Trace:
-    """Load a trace saved by :func:`save_trace_csv`."""
-    path = Path(path)
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["arrival_ns", "kind", "offset_bytes", "size_bytes"]:
-            raise WorkloadError(f"unrecognised trace header {header!r} in {path}")
-        for row in reader:
-            rows.append((int(row[0]), row[1], int(row[2]), int(row[3])))
-    return trace_from_rows(name or path.stem, rows)

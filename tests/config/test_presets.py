@@ -6,7 +6,6 @@ from repro.config.presets import (
     cost_optimized,
     performance_optimized,
     preset_by_name,
-    venice_network_defaults,
     PRESET_NAMES,
 )
 from repro.config.ssd_config import NS_PER_MS, NS_PER_US
@@ -48,7 +47,6 @@ def test_performance_optimized_chip_count_is_64():
 def test_venice_link_rate_is_1_gbps():
     config = performance_optimized()
     # 8-bit links at 1 GHz = 1 byte/ns = 1 GB/s.
-    assert config.interconnect.link_rate == 1_000_000_000
     assert config.interconnect.link_width_bytes == 1
     assert config.interconnect.link_frequency_hz == 1_000_000_000
 
@@ -57,13 +55,6 @@ def test_venice_mesh_is_8x8():
     config = performance_optimized()
     assert (config.mesh_rows, config.mesh_cols) == (8, 8)
     assert config.flash_controllers == 8
-
-
-def test_venice_defaults_report():
-    defaults = venice_network_defaults()
-    assert defaults["topology"] == "8x8 2D mesh"
-    assert defaults["switching"] == "circuit switching"
-    assert defaults["routing"] == "non-minimal fully-adaptive"
 
 
 def test_preset_lookup_and_aliases():

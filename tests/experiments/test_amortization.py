@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.figures import _CONFLICT_DESIGNS
 from repro.experiments.spec import ExperimentScale, RunSpec, make_spec
 from repro.experiments.store import ResultStore
@@ -140,13 +140,13 @@ class TestWarmStoreReplay:
             for kind in _CONFLICT_DESIGNS[:2]
         ]
         store = ResultStore(tmp_path)
-        cold_executor = SerialExecutor()
+        cold_executor = Executor()
         cold = execute_specs(specs, executor=cold_executor, store=store)
         assert cold_executor.runs_completed == len(specs)
         assert (tmp_path / "checkpoints").is_dir()
 
         warm_store = ResultStore(tmp_path)
-        warm_executor = SerialExecutor()
+        warm_executor = Executor()
         warm = execute_specs(specs, executor=warm_executor, store=warm_store)
         assert warm_executor.runs_completed == 0  # zero simulations
         assert warm_store.hits == len(specs)

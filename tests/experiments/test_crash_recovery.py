@@ -19,8 +19,7 @@ import pytest
 import repro
 from repro.errors import ExecutionError
 from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
+    Executor,
     execute_spec,
     execute_specs,
 )
@@ -143,7 +142,7 @@ def test_timeout_kills_the_hung_spec_and_finishes_the_rest(
     store = ResultStore(tmp_path)
     with pytest.raises(ExecutionError) as excinfo:
         execute_specs(
-            SPECS[:3], executor=SerialExecutor(timeout=1.0), store=store
+            SPECS[:3], executor=Executor(timeout=1.0), store=store
         )
     (failure,) = excinfo.value.failures
     assert (failure.digest, failure.reason) == (hung.digest, "timeout")
@@ -170,7 +169,7 @@ def test_worker_crash_is_attributed_without_losing_the_sweep(
     monkeypatch.setattr("repro.experiments.executor.execute_spec", crash_one)
     store = ResultStore(tmp_path)
     with pytest.raises(ExecutionError) as excinfo:
-        execute_specs(SPECS, executor=ParallelExecutor(jobs=2), store=store)
+        execute_specs(SPECS, executor=Executor(jobs=2), store=store)
     (failure,) = excinfo.value.failures
     assert (failure.digest, failure.reason) == (crasher.digest, "crash")
     assert "exit code" in failure.detail
@@ -192,8 +191,8 @@ def test_exception_in_isolated_subprocess_carries_the_traceback(monkeypatch):
         return real(spec, checkpoints)
 
     monkeypatch.setattr("repro.experiments.executor.execute_spec", explode_one)
-    executor = SerialExecutor(timeout=60.0)
-    results, failures = executor.run_detailed(SPECS[:2])
+    executor = Executor(timeout=60.0)
+    results, failures = executor.run(SPECS[:2])
     assert results[0] is not None and results[1] is None
     (failure,) = failures
     assert (failure.digest, failure.reason) == (bad.digest, "exception")

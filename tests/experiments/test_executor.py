@@ -4,14 +4,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
+    Executor,
     _rebuild_checkpoints,
     checkpoint_ref,
     execute_spec,
-    execute_spec_isolated,
     execute_specs,
-    make_executor,
 )
 from repro.sim.checkpoint import CheckpointStore
 from repro.experiments.figures import run_all_figures, run_figure
@@ -28,26 +25,43 @@ SPECS = [
 
 
 def test_serial_and_parallel_backends_agree_exactly():
-    serial = SerialExecutor().run(SPECS)
-    parallel = ParallelExecutor(jobs=2).run(SPECS)
+    serial, _ = Executor().run(SPECS)
+    parallel, failures = Executor(jobs=2).run(SPECS)
+    assert failures == []
     assert serial == parallel  # bit-identical RunResults, same order
 
 
-def test_make_executor_jobs_semantics():
-    assert isinstance(make_executor(None), SerialExecutor)
-    assert isinstance(make_executor(1), SerialExecutor)
-    assert isinstance(make_executor(4), ParallelExecutor)
-    assert make_executor(4).jobs == 4
-    with pytest.raises(ValueError):
-        ParallelExecutor(jobs=0)
-    with pytest.raises(ConfigurationError):
-        make_executor(0)
-    with pytest.raises(ConfigurationError):
-        make_executor(-4)
+def test_executor_checks_jobs_and_timeout():
+    assert (Executor().jobs, Executor(4).jobs) == (1, 4)
+    for jobs in (0, -4):
+        with pytest.raises(ConfigurationError, match="--jobs must be >= 1"):
+            Executor(jobs)
+    for timeout in (0, -1.0):
+        with pytest.raises(ConfigurationError, match="--timeout must be > 0"):
+            Executor(timeout=timeout)
+
+
+def test_inline_executor_stores_each_result_before_the_next_spec_starts(
+    tmp_path, monkeypatch
+):
+    store = ResultStore(tmp_path)
+    stored_at_start = []
+
+    def spy(spec, checkpoints=None):
+        stored_at_start.append([other in store for other in SPECS])
+        return execute_spec(spec, checkpoints)
+
+    monkeypatch.setattr("repro.experiments.executor.execute_spec", spy)
+    execute_specs(SPECS, executor=Executor(), store=store)
+    # Spec k starts with exactly specs 0..k-1 already in the store.
+    assert stored_at_start == [
+        [other < k for other in range(len(SPECS))] for k in range(len(SPECS))
+    ]
+    assert store.writes == len(SPECS)
 
 
 def test_execute_specs_deduplicates_repeated_specs():
-    executor = SerialExecutor()
+    executor = Executor()
     duplicated = [SPECS[0], SPECS[0], SPECS[1], SPECS[0]]
     results = execute_specs(duplicated, executor=executor)
     assert executor.runs_completed == 2
@@ -56,14 +70,14 @@ def test_execute_specs_deduplicates_repeated_specs():
 
 def test_warm_store_serves_everything_without_simulating(tmp_path):
     store = ResultStore(tmp_path)
-    first = SerialExecutor()
+    first = Executor()
     cold = execute_specs(SPECS, executor=first, store=store)
     assert first.runs_completed == len(SPECS)
 
     # Fresh store instance against the same directory: everything must come
     # from disk and the executor must never be invoked.
     warm_store = ResultStore(tmp_path)
-    second = SerialExecutor()
+    second = Executor()
     warm = execute_specs(SPECS, executor=second, store=warm_store)
     assert second.runs_completed == 0
     assert warm_store.hits == len(SPECS)
@@ -73,7 +87,7 @@ def test_warm_store_serves_everything_without_simulating(tmp_path):
 def test_figures_share_the_cached_matrix(tmp_path):
     """fig10 and fig13 draw from fig9a's perf-opt matrix: zero extra runs."""
     store = ResultStore(tmp_path)
-    executor = SerialExecutor()
+    executor = Executor()
     run_figure("fig9a", SCALE, ("proj_3",), executor=executor, store=store)
     after_fig9 = executor.runs_completed
     assert after_fig9 == 6  # six designs, one workload
@@ -85,7 +99,7 @@ def test_figures_share_the_cached_matrix(tmp_path):
 def test_matrix_pass_is_cached_end_to_end(tmp_path):
     """Acceptance: a repeat matrix pass against the same cache simulates nothing."""
     names = ("fig9a", "fig10", "fig13", "table4")
-    first = SerialExecutor()
+    first = Executor()
     cold = run_all_figures(
         SCALE,
         workloads=("proj_3",),
@@ -95,7 +109,7 @@ def test_matrix_pass_is_cached_end_to_end(tmp_path):
     )
     assert first.runs_completed == 6  # the shared matrix, simulated once
 
-    second = SerialExecutor()
+    second = Executor()
     warm_store = ResultStore(tmp_path)
     warm = run_all_figures(
         SCALE,
@@ -112,17 +126,18 @@ def test_matrix_pass_is_cached_end_to_end(tmp_path):
 def test_parallel_matrix_equals_sequential_matrix():
     names = ("fig9a", "fig13")
     sequential = run_all_figures(
-        SCALE, workloads=("proj_3",), figures=names, executor=SerialExecutor()
+        SCALE, workloads=("proj_3",), figures=names, executor=Executor()
     )
     parallel = run_all_figures(
         SCALE, workloads=("proj_3",), figures=names,
-        executor=ParallelExecutor(jobs=4),
+        executor=Executor(jobs=4),
     )
     assert parallel == sequential
 
 
-def test_execute_spec_isolated_matches_inline_execution():
-    assert execute_spec_isolated(SPECS[0]) == execute_spec(SPECS[0])
+def test_isolated_execution_matches_inline_execution():
+    isolated = Executor(timeout=300.0).run([SPECS[0]])
+    assert isolated == ([execute_spec(SPECS[0])], [])
 
 
 def test_checkpoint_refs_round_trip_every_store_flavor(tmp_path):
@@ -140,24 +155,3 @@ def test_checkpoint_refs_round_trip_every_store_flavor(tmp_path):
     rebuilt = _rebuild_checkpoints(ref)
     assert rebuilt.directory is None
     assert rebuilt._memory == memory._memory
-
-
-def test_execute_specs_supports_legacy_executors():
-    """Custom executors without run_detailed still work (old plugin API)."""
-
-    class Legacy:
-        def __init__(self):
-            self.calls = []
-
-        def run(self, specs, checkpoints=None):
-            self.calls.append((len(specs), checkpoints is not None))
-            return [execute_spec(spec) for spec in specs]
-
-    bare = Legacy()
-    results = execute_specs(SPECS[:2], executor=bare)
-    assert results[SPECS[0]] == execute_spec(SPECS[0])
-    assert bare.calls == [(2, False)]  # single-argument legacy call
-
-    chk = Legacy()
-    execute_specs(SPECS[:2], executor=chk, checkpoints=CheckpointStore())
-    assert chk.calls == [(2, True)]  # checkpoint-aware two-argument call

@@ -7,7 +7,7 @@ byte-identical ``RunResult.to_dict()`` payloads.
 
 import json
 
-from repro.experiments.executor import ParallelExecutor, SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale, make_spec
 
 SCALE = ExperimentScale(
@@ -39,15 +39,15 @@ def payloads(results, specs):
 
 def test_faulted_and_pristine_specs_are_serial_parallel_identical():
     specs = spec_pair()
-    serial = execute_specs(specs, executor=SerialExecutor())
-    parallel = execute_specs(specs, executor=ParallelExecutor(jobs=4))
+    serial = execute_specs(specs, executor=Executor())
+    parallel = execute_specs(specs, executor=Executor(jobs=4))
     assert payloads(serial, specs) == payloads(parallel, specs)
 
 
 def test_faulted_execution_is_repeatable_in_process():
     specs = spec_pair()
-    first = execute_specs(specs, executor=SerialExecutor())
-    second = execute_specs(specs, executor=SerialExecutor())
+    first = execute_specs(specs, executor=Executor())
+    second = execute_specs(specs, executor=Executor())
     assert payloads(first, specs) == payloads(second, specs)
 
 
@@ -57,8 +57,8 @@ def test_degraded_designs_are_serial_parallel_identical():
         make_spec(design, "performance-optimized", "hm_0", SCALE, faults=FAULTS)
         for design in ("baseline", "nossd", "pnssd")
     ]
-    serial = execute_specs(specs, executor=SerialExecutor())
-    parallel = execute_specs(specs, executor=ParallelExecutor(jobs=4))
+    serial = execute_specs(specs, executor=Executor())
+    parallel = execute_specs(specs, executor=Executor(jobs=4))
     assert payloads(serial, specs) == payloads(parallel, specs)
     # The fault set actually bites: at least one design stalled requests.
     assert any(

@@ -4,14 +4,14 @@ import pytest
 
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor
 from repro.experiments.faults import (
     DEFAULT_LINK_COUNTS,
     SWEEP_DESIGNS,
+    _sweep_plan,
     degradation_links,
     link_fault_schedule,
     run_faults_sweep,
-    sweep_specs,
 )
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.experiments.store import ResultStore
@@ -102,7 +102,10 @@ def test_faulted_spec_round_trips_through_dict():
 
 
 def test_sweep_specs_share_the_fault_set_across_designs():
-    per_count = sweep_specs("performance-optimized", "hm_0", SCALE, (0, 2))
+    _, plan = _sweep_plan(
+        "performance-optimized", "hm_0", SCALE, (0, 2), SWEEP_DESIGNS, 42
+    )
+    per_count = {count: specs for count, (_, specs) in plan.items()}
     assert set(per_count) == {0, 2}
     for spec in per_count[0]:
         assert spec.faults == ""
@@ -138,14 +141,14 @@ def test_sweep_venice_survives_where_bus_and_nossd_stall():
 
 def test_sweep_is_cache_replayable(tmp_path):
     store = ResultStore(tmp_path / "store")
-    executor = SerialExecutor()
+    executor = Executor()
     first = run_faults_sweep(
         workload="hm_0", scale=SCALE, link_counts=(0, 2),
         executor=executor, store=store,
     )
     simulated = executor.runs_completed
     assert simulated == 2 * len(SWEEP_DESIGNS)
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     second = run_faults_sweep(
         workload="hm_0", scale=SCALE, link_counts=(0, 2),
         executor=warm_executor, store=ResultStore(tmp_path / "store"),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.ftl import (
     DEFAULT_FILL_LEVELS,
     DEFAULT_OP_LEVELS,
@@ -43,7 +43,7 @@ SWEEP_OPS = (0.07, 0.35)
 def sweep(tmp_path_factory):
     """One cold sweep, shared by the curve assertions below."""
     store_dir = tmp_path_factory.mktemp("ftl-sweep") / "store"
-    executor = SerialExecutor()
+    executor = Executor()
     payload = run_ftl_sweep(
         designs=SWEEP_DESIGNS,
         fill_levels=SWEEP_FILLS,
@@ -110,7 +110,7 @@ def test_sweep_shares_warmup_checkpoints_across_cells(sweep):
 
 def test_warm_rerun_simulates_nothing(sweep):
     payload, _, store_dir = sweep
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     second = run_ftl_sweep(
         designs=SWEEP_DESIGNS,
         fill_levels=SWEEP_FILLS,

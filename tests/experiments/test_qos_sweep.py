@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor
+from repro.experiments.executor import Executor
 from repro.experiments.qos import (
     DEFAULT_BUCKET_BURST,
     default_policies,
@@ -15,6 +15,7 @@ from repro.experiments.qos import (
     run_qos_sweep,
     suggest_token_bucket,
 )
+from repro.experiments.spec import make_spec
 from repro.experiments.store import ResultStore
 
 SCALE = qos_scale(requests=120)
@@ -34,7 +35,7 @@ def _policies():
 def sweep(tmp_path_factory):
     """One cold sweep, shared by the curve assertions below."""
     store_dir = tmp_path_factory.mktemp("qos-sweep") / "store"
-    executor = SerialExecutor()
+    executor = Executor()
     payload = run_qos_sweep(
         scale=SCALE,
         levels=LEVELS,
@@ -88,7 +89,7 @@ def test_fair_share_token_bucket_bounds_the_victim_curve(sweep):
 
 def test_warm_rerun_simulates_nothing_and_is_byte_identical(sweep):
     payload, _, store_dir = sweep
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     warm = run_qos_sweep(
         scale=SCALE,
         levels=LEVELS,
@@ -115,6 +116,16 @@ def test_fair_share_rate_divides_out_the_target_pressure():
     doubled = suggest_token_bucket(scale=SCALE, headroom=2.0)
     assert doubled != spec
     assert nominal == pytest.approx(rate * SCALE.target_pressure)
+
+
+def test_fair_share_rate_of_a_mix_meters_the_trace_its_cells_replay():
+    spec = make_spec("venice", "performance-optimized", "mix1", SCALE)
+    requests = spec.build_trace().requests
+    span_s = (requests[-1].arrival_ns - requests[0].arrival_ns) / 1e9
+    nominal = (len(requests) - 1) / span_s
+    rate = fair_share_rate("performance-optimized", "mix1", SCALE)
+    # A mix is accelerated to its own, hotter, pressure target.
+    assert rate == pytest.approx(nominal / SCALE.mix_target_pressure)
 
 
 def test_default_policies_cover_the_four_families():

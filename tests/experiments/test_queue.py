@@ -2,14 +2,16 @@
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
-from repro.errors import ExecutionError, QueueError, SpecRunError
-from repro.experiments.executor import SerialExecutor, execute_spec, execute_specs
+from repro.errors import ConfigurationError, ExecutionError, QueueError
+from repro.experiments.executor import Executor, execute_spec, execute_specs
 from repro.experiments.queue import WorkQueue, default_owner_id
 from repro.experiments.spec import make_spec
+from repro.experiments.store import ResultStore
 from repro.experiments.worker import (
     QueueExecutor,
     QueueWorker,
@@ -217,7 +219,7 @@ def test_worker_skips_simulation_when_the_store_already_has_the_result(
     queue.result_store().put(SPECS[0], result)
     queue.enqueue(SPECS[0])
     monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec",
+        "repro.experiments.executor.execute_spec",
         lambda *a, **k: pytest.fail("must not simulate a stored result"),
     )
     worker = QueueWorker(queue)
@@ -243,7 +245,7 @@ def test_worker_dead_letters_a_spec_that_keeps_failing(tmp_path, monkeypatch):
     queue = make_queue(tmp_path, max_attempts=2, retry_delay=0.0)
     queue.enqueue(SPECS[0])
     monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec",
+        "repro.experiments.executor.execute_spec",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("sim exploded")),
     )
     worker = QueueWorker(queue, idle_exit=0.0)
@@ -254,11 +256,13 @@ def test_worker_dead_letters_a_spec_that_keeps_failing(tmp_path, monkeypatch):
 
 
 def test_queued_sweep_matches_serial_execution(tmp_path):
-    serial = execute_specs(SPECS, executor=SerialExecutor())
+    serial = execute_specs(SPECS, executor=Executor())
     queue = make_queue(tmp_path)
     executor = QueueExecutor(queue)
     queued = execute_specs(SPECS, executor=executor, store=executor.worker.store)
     assert queued == serial  # bit-identical results through the queue
+    # Each entry is written once, by the worker that ran its task.
+    assert executor.worker.store.writes == len(SPECS)
     # A warm re-run through a *fresh* queue bound to the same store
     # completes without a single new simulation or store write.
     rerun_queue = WorkQueue(tmp_path / "queue-rerun", store_dir=queue.store_dir)
@@ -273,7 +277,7 @@ def test_queue_executor_reports_dead_letters_as_failures(
 ):
     queue = make_queue(tmp_path, max_attempts=2, retry_delay=0.0)
     monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec",
+        "repro.experiments.executor.execute_spec",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("sim exploded")),
     )
     executor = QueueExecutor(queue)
@@ -349,23 +353,27 @@ def test_worker_with_a_timeout_runs_the_spec_isolated(tmp_path):
     assert queue.result_store().get(SPECS[0]) == execute_spec(SPECS[0])
 
 
+@pytest.mark.skipif(
+    sys.platform != "linux",
+    reason="relies on fork-start subprocesses inheriting monkeypatches",
+)
 def test_worker_records_spec_run_errors_as_failed_attempts(
     tmp_path, monkeypatch
 ):
     queue = make_queue(tmp_path, max_attempts=3, retry_delay=0.0)
     queue.enqueue(SPECS[0])
+    # The isolated subprocess starts via fork, so it inherits the hang.
     monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec_isolated",
-        lambda *a, **k: (_ for _ in ()).throw(
-            SpecRunError(SPECS[0].digest, SPECS[0].label(), "timeout",
-                         "exceeded 1.0s")
-        ),
+        "repro.experiments.executor.execute_spec",
+        lambda *a, **k: time.sleep(300.0),
     )
-    worker = QueueWorker(queue, timeout=1.0)
+    worker = QueueWorker(queue, timeout=0.5)
     assert worker.step() is True  # the claim happened; the run failed
     assert worker.failed == 1
     record = json.loads(queue._retry_path(SPECS[0].digest).read_text())
-    assert record["errors"] == ["timeout: exceeded 1.0s"]
+    assert record["errors"] == [
+        "timeout: simulation exceeded the 0.5s wall-clock limit and was killed"
+    ]
 
 
 def test_queue_executor_flags_a_done_task_with_a_missing_result(tmp_path):
@@ -373,14 +381,23 @@ def test_queue_executor_flags_a_done_task_with_a_missing_result(tmp_path):
     queue.enqueue(SPECS[0])
     queue.complete(queue.claim("amnesiac"))  # done, but nothing was stored
     with pytest.raises(QueueError, match="store verify"):
-        QueueExecutor(queue).run_detailed([SPECS[0]])
+        QueueExecutor(queue).run([SPECS[0]])
 
 
 def test_queue_executor_run_raises_on_dead_letters(tmp_path, monkeypatch):
     queue = make_queue(tmp_path, max_attempts=1, retry_delay=0.0)
     monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec",
+        "repro.experiments.executor.execute_spec",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("sim exploded")),
     )
+    # No store argument: the queue's bound store is where results land.
     with pytest.raises(ExecutionError):
-        QueueExecutor(queue).run([SPECS[0]])
+        execute_specs([SPECS[0]], executor=QueueExecutor(queue))
+
+
+def test_queue_executor_refuses_a_store_it_cannot_fill(tmp_path):
+    executor = QueueExecutor(make_queue(tmp_path))
+    with pytest.raises(ConfigurationError, match="queue's store"):
+        execute_specs(
+            SPECS, executor=executor, store=ResultStore(tmp_path / "other")
+        )

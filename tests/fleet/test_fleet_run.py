@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments.executor import Executor
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.experiments.store import ResultStore
 from repro.fleet.run import run_fleet, run_fleet_sweep
@@ -56,10 +56,10 @@ def test_warm_store_serves_a_fleet_without_simulating(tmp_path):
     fleet = make_fleet_spec("venice", "perf", "hm_0", SCALE, devices=2,
                             tenants=4)
     store = ResultStore(tmp_path / "store")
-    executor = SerialExecutor()
+    executor = Executor()
     cold = run_fleet(fleet, executor=executor, store=store)
     assert executor.runs_completed == 2
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     warm = run_fleet(fleet, executor=warm_executor,
                      store=ResultStore(tmp_path / "store"))
     assert warm_executor.runs_completed == 0  # zero simulations
@@ -69,8 +69,8 @@ def test_warm_store_serves_a_fleet_without_simulating(tmp_path):
 def test_parallel_fleet_results_are_bit_identical_to_serial():
     fleet = make_fleet_spec("venice", "perf", "hm_0", SCALE, devices=3,
                             tenants=6, placement="stripe:64KiB")
-    serial = run_fleet(fleet, executor=SerialExecutor())
-    parallel = run_fleet(fleet, executor=ParallelExecutor(4))
+    serial = run_fleet(fleet, executor=Executor())
+    parallel = run_fleet(fleet, executor=Executor(4))
     assert serial == parallel
 
 
@@ -121,12 +121,12 @@ def test_sweep_grid_shares_the_store_and_stays_deterministic(tmp_path):
         scale=SCALE,
     )
     store = ResultStore(tmp_path / "store")
-    executor = SerialExecutor()
+    executor = Executor()
     cold = run_fleet_sweep("venice", "perf", "hm_0", executor=executor,
                            store=store, **kwargs)
     simulated = executor.runs_completed
     assert simulated > 0
-    warm_executor = ParallelExecutor(4)
+    warm_executor = Executor(4)
     warm = run_fleet_sweep("venice", "perf", "hm_0", executor=warm_executor,
                            store=ResultStore(tmp_path / "store"), **kwargs)
     assert warm_executor.runs_completed == 0

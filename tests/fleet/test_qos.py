@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.fleet.member import canonical_burst
 from repro.fleet.qos import (
@@ -289,7 +289,7 @@ def test_qos_free_fleet_keeps_pre_qos_digests():
 
 def test_qos_free_fleet_results_are_byte_identical():
     fleet = _pinned_fleet()
-    results = execute_specs(list(fleet.members), executor=SerialExecutor())
+    results = execute_specs(list(fleet.members), executor=Executor())
     member0 = results[fleet.members[0]]
     assert member0.tenant_histograms is None
     assert "tenant_histograms" not in member0.to_dict()
@@ -297,7 +297,7 @@ def test_qos_free_fleet_results_are_byte_identical():
         json.dumps(member0.to_dict(), sort_keys=False).encode()
     ).hexdigest()
     assert result_sha == PINNED_MEMBER0_RESULT_SHA
-    payload = run_fleet(_pinned_fleet(), executor=SerialExecutor())
+    payload = run_fleet(_pinned_fleet(), executor=Executor())
     assert "qos" not in payload and "tenant_latency" not in payload
     payload_sha = hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
@@ -322,7 +322,7 @@ def test_sampled_fleet_through_every_dispatch_stage_is_pinned():
         qos="wfq:4,1,1,1", burst="0x4",
     )
     assert fleet.digest == PINNED_STAGED_FLEET_DIGEST
-    payload = run_fleet(fleet, executor=SerialExecutor())
+    payload = run_fleet(fleet, executor=Executor())
     assert payload["sampled_member_indices"] == [1, 6, 8, 13]
     assert payload["qos"] == "wfq:4,1,1,1" and payload["burst"] == "0x4"
     payload_sha = hashlib.sha256(

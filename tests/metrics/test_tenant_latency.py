@@ -1,6 +1,6 @@
 """Per-tenant latency histograms: exact merging and round-tripping."""
 
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale
 from repro.fleet.run import merge_latency_payloads, merge_tenant_payloads
 from repro.fleet.spec import make_fleet_spec
@@ -17,7 +17,7 @@ def _tenant_result():
         "venice", "performance-optimized", "hm_0", SCALE,
         devices=1, tenants=3, burst="0x2",  # arms export_tenant_histograms
     )
-    results = execute_specs(list(fleet.members), executor=SerialExecutor())
+    results = execute_specs(list(fleet.members), executor=Executor())
     return results[fleet.members[0]]
 
 
@@ -62,7 +62,7 @@ def test_plain_specs_export_no_tenant_histograms():
         "venice", "performance-optimized", "hm_0", SCALE,
         devices=1, tenants=3,  # no qos/burst: collector gate stays off
     )
-    results = execute_specs(list(fleet.members), executor=SerialExecutor())
+    results = execute_specs(list(fleet.members), executor=Executor())
     result = results[fleet.members[0]]
     assert result.tenant_histograms is None
     assert merge_tenant_payloads([result]) == {}

@@ -126,8 +126,7 @@ def test_array_lookup_consistency():
     target = PhysicalPageAddress(ChipAddress(3, 4), 0, 1, 1, 1)
     die = array.die_for(target)
     assert die.chip_address == ChipAddress(3, 4)
-    plane = array.plane_for(target)
-    assert plane.index == 1
+    assert die.planes[target.plane].index == 1
     block = array.block_for(target)
     assert block.index == 1
 
@@ -136,10 +135,14 @@ def test_array_free_and_valid_counters():
     config = performance_optimized(blocks_per_plane=2, pages_per_block=2)
     array = FlashArray(Engine(), config)
     total = config.geometry.total_pages
-    assert array.total_free_pages() == total
+
+    def free_pages():
+        return sum(plane.free_pages for _, _, plane in array.iter_planes())
+
+    assert free_pages() == total
     assert array.total_valid_pages() == 0
     array.block_for(PhysicalPageAddress(ChipAddress(0, 0), 0, 0, 0, 0)).program_page(0)
-    assert array.total_free_pages() == total - 1
+    assert free_pages() == total - 1
     assert array.total_valid_pages() == 1
 
 
@@ -185,7 +188,6 @@ class TestBlockRestore:
         assert block.valid_count == 3
         assert block.invalid_count == 1
         assert block.erase_count == 3
-        assert plane.allocated_pages == 4
         assert plane.free_pages == plane.total_pages - 4
 
     def test_restore_matches_the_equivalent_program_sequence(self):

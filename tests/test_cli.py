@@ -138,6 +138,20 @@ def test_matrix_command_json(tmp_path, capsys):
     assert len(list(tmp_path.glob("*.json"))) == 6
 
 
+def test_matrix_checks_names_before_making_a_directory(tmp_path, capsys):
+    for flag in ("--cache", "--queue"):
+        target = tmp_path / flag.lstrip("-")
+        code = main(
+            [
+                "matrix", "--figures", "fig13", "--workloads", "mix1",
+                flag, str(target),
+            ]
+        )
+        assert code == 2
+        assert "unknown: mix1" in capsys.readouterr().err
+        assert not target.exists()
+
+
 def test_cache_path_that_is_a_file_errors_cleanly(tmp_path, capsys):
     target = tmp_path / "not-a-dir"
     target.write_text("")

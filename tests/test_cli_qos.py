@@ -55,6 +55,21 @@ def test_qos_sweep_runs_a_table3_mix(tmp_path, capsys):
     )
 
 
+def test_qos_sweep_over_a_mix_runs_the_default_policies(capsys):
+    args = [
+        "qos", "sweep", "--workload", "mix1", "--requests", "40",
+        "--designs", "venice", "--placements", "round-robin",
+        "--levels", "1", "--json",
+    ]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cells = payload["curve"]["round-robin"]
+    assert list(cells) == ["none", "token-bucket", "wfq", "slo"]
+    assert all(
+        cells[label]["venice"][0]["requests_completed"] > 0 for label in cells
+    )
+
+
 def test_qos_sweep_rejects_bad_policy(capsys):
     assert main(TINY + ["--policies", "warp-speed:9"]) == 2
     assert "policy" in capsys.readouterr().err

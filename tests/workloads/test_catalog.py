@@ -159,8 +159,3 @@ def test_generator_rejects_tiny_footprint():
     generator = SyntheticGenerator(spec_by_name("hm_0"))
     with pytest.raises(WorkloadError):
         generator.generate(10, footprint_bytes=1024)
-
-
-def test_intensified_spec():
-    spec = spec_by_name("hm_0").intensified(0.5)
-    assert spec.avg_interarrival_us == pytest.approx(29)

@@ -1,11 +1,15 @@
 """Tests for Table 3 mixes, the Trace container, and the YCSB generator."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.errors import WorkloadError
 from repro.hil.request import IoKind
+from repro.workloads.formats import detect_format, iter_trace_records
 from repro.workloads.mixes import MIX_CATALOG, generate_mix, mix_names
-from repro.workloads.trace import Trace, load_trace_csv, save_trace_csv, trace_from_rows
+from repro.workloads.trace import Trace, trace_from_rows
 from repro.workloads.ycsb import KeyDistribution, YcsbGenerator
 
 FOOTPRINT = 256 << 20
@@ -86,22 +90,21 @@ def test_trace_scaled_arrivals():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    trace = trace_from_rows(
-        "round", [(0, "r", 0, 4096), (250, "w", 8192, 12288)]
-    )
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    loaded = load_trace_csv(path, name="round")
-    assert len(loaded) == 2
-    assert loaded.requests[1].kind is IoKind.WRITE
-    assert loaded.requests[1].size_bytes == 12288
+    """`trace convert` writes venice CSV; its reader gives the records back."""
+    source = Path(__file__).parent / "data" / "msr_tiny.csv"
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "convert", str(source), str(out)]) == 0
+    assert detect_format(out).name == "venice-csv"
+    converted = list(iter_trace_records(out))
+    assert converted == list(iter_trace_records(source))
+    assert {record.kind for record in converted} == {IoKind.READ, IoKind.WRITE}
 
 
 def test_trace_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(WorkloadError):
-        load_trace_csv(path)
+        list(iter_trace_records(path, "venice-csv"))
 
 
 # --------------------------------------------------------------------- #

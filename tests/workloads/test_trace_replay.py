@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale, RunSpec, make_spec
 from repro.experiments.store import ResultStore
 from repro.workloads.catalog import generate_workload
@@ -209,12 +209,12 @@ def test_msr_fixture_replays_deterministically_and_caches(tmp_path):
     assert first == second  # bit-identical across two fresh runs
 
     store = ResultStore(tmp_path)
-    cold_executor = SerialExecutor()
+    cold_executor = Executor()
     cold = execute_specs([spec_a], executor=cold_executor, store=store)
     assert cold_executor.runs_completed == 1
     assert cold[spec_a].to_dict() == first
 
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     warm = execute_specs([spec_b], executor=warm_executor, store=store)
     assert warm_executor.runs_completed == 0  # zero simulations on re-run
     assert warm[spec_b].to_dict() == first
@@ -227,7 +227,7 @@ def test_executor_validates_trace_before_fanout(tmp_path):
     # The file changes after the spec was built: the batch must fail fast
     # with a digest-mismatch error, before any simulation runs.
     doomed.write_text(MSR.read_text().replace("Read", "Write"))
-    executor = SerialExecutor()
+    executor = Executor()
     with pytest.raises(WorkloadError, match="changed since the spec"):
         execute_specs([spec], executor=executor)
     assert executor.runs_completed == 0
@@ -249,7 +249,7 @@ def test_cached_result_survives_trace_relocation(tmp_path):
     moved.parent.mkdir()
     original.rename(moved)
     relocated = make_spec("venice", "perf", f"trace:{moved}", SCALE)
-    executor = SerialExecutor()
+    executor = Executor()
     results = execute_specs([relocated], executor=executor, store=store)
     assert executor.runs_completed == 0
     assert results[relocated].requests_completed == 24
