@@ -35,9 +35,10 @@ Subcommands:
   queueing, SLO-aware admission control),
 * ``store``   -- result-store maintenance: ``stats`` reports entry and
   checkpoint counts, byte totals, and session cache counters; ``verify``
-  checks every entry's content hash against its digest key (``--repair``
-  quarantines mismatches); ``gc`` drops quarantined entries and stale
-  temp files; ``compact`` minifies the JSON entries,
+  checks every result's content hash, and every warm-up checkpoint's
+  digest, against its digest key (``--repair`` quarantines mismatches);
+  ``gc`` drops quarantined entries and stale temp files; ``compact``
+  minifies the JSON result entries,
 * ``worker``  -- drain a crash-safe work queue (docs/distributed.md):
   lease tasks by spec digest, heartbeat while simulating, write results
   into the queue's bound store, retry with exponential backoff,
@@ -78,7 +79,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.config.presets import PRESET_NAMES
+from repro.config.presets import PRESET_NAMES, canonical_preset_name
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
@@ -86,14 +87,17 @@ from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.reporting import format_table, speedup_table
 from repro.experiments.runner import run_suite
 from repro.experiments.spec import (
+    SPEC_CLAUSES,
     TRACE_WORKLOAD_PREFIX,
     ExperimentScale,
     make_spec,
 )
 from repro.experiments.store import ResultStore
+from repro.fleet.member import canonical_burst
+from repro.fleet.placement import canonical_placement
 from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
-from repro.workloads.catalog import workload_names
+from repro.workloads.catalog import spec_by_name, workload_names
 from repro.workloads.mixes import mix_names
 
 
@@ -504,6 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--seed", type=int, default=42)
     fleet_run.add_argument(
         "--faults", nargs="*", default=None, metavar="[IDX:]SCHEDULE",
+        dest="member_faults",
         help="fault schedules; 'IDX:SCHEDULE' degrades member IDX only, a "
         "bare SCHEDULE degrades every member",
     )
@@ -766,40 +771,75 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store(args: argparse.Namespace) -> Optional[ResultStore]:
-    if not getattr(args, "cache", None):
-        return None
-    try:
-        return ResultStore(args.cache)
-    except OSError as error:
-        raise ConfigurationError(
-            f"cannot use {args.cache!r} as a cache directory: {error}"
-        )
+def _check_workload(name: str) -> None:
+    """A plain workload name must name a Table 2 trace, a Table 3 mix, or
+    a file under ``VENICE_TRACE_DIR``; a ``trace:`` path is checked when
+    its spec is built."""
+    if not (
+        name.startswith(TRACE_WORKLOAD_PREFIX)
+        or name in mix_names()
+        or trace_formats.resolve_trace_path(name) is not None
+    ):
+        spec_by_name(name)
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Check every name- or grammar-valued flag a command has.
+
+    Each goes through the check its spec field or policy applies later,
+    so a bad value exits 2 before :func:`_orchestration` makes a store or
+    queue directory.  A list flag checks each of its values.
+    """
+    checks = {
+        "preset": canonical_preset_name,
+        "workload": _check_workload,
+        "warmup": SPEC_CLAUSES["warmup"],
+        "early_stop": SPEC_CLAUSES["early_stop"],
+        "faults": SPEC_CLAUSES["faults"],
+        "qos": SPEC_CLAUSES["qos"],
+        "policies": SPEC_CLAUSES["qos"],
+        "placement": canonical_placement,
+        "placements": canonical_placement,
+        "burst": lambda text: canonical_burst(text, args.tenants),
+    }
+    for flag, check in checks.items():
+        value = getattr(args, flag, None)
+        for item in value if isinstance(value, list) else [value]:
+            if item:
+                check(item)
 
 
 def _orchestration(args: argparse.Namespace):
-    """Resolve the (executor, store) pair the sweep commands share.
+    """Resolve the (executor, store) pair the commands share.
 
-    ``--queue DIR`` routes the batch through a crash-safe work queue
-    (enqueue-and-wait, participating as a worker); the queue binds the
-    result store, so ``--cache`` names the same store every external
-    worker writes into.  Without it, ``--jobs``/``--timeout`` configure
-    the in-process :class:`~repro.experiments.executor.Executor`.
+    Every run and sweep command makes its store or queue directory here,
+    after checking its flags (:func:`_check_flags`, then ``--jobs`` and
+    ``--timeout``).  ``--queue DIR`` routes the batch through a
+    crash-safe work queue (enqueue-and-wait, participating as a worker);
+    the queue binds the result store, so ``--cache`` names the same store
+    every external worker writes into.  Without it, ``--jobs``/
+    ``--timeout`` configure the in-process
+    :class:`~repro.experiments.executor.Executor`.
     """
-    # Built first: it checks --jobs and --timeout before a store or queue
-    # directory is made.
+    _check_flags(args)
     executor = Executor(
         getattr(args, "jobs", 1), getattr(args, "timeout", None)
     )
+    cache = getattr(args, "cache", None)
     queue_dir = getattr(args, "queue", None)
     if not queue_dir:
-        return executor, _store(args)
+        try:
+            return executor, ResultStore(cache) if cache else None
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot use {cache!r} as a cache directory: {error}"
+            )
     from repro.experiments.queue import WorkQueue
     from repro.experiments.worker import QueueExecutor
 
     queue = WorkQueue(
         queue_dir,
-        store_dir=getattr(args, "cache", None),
+        store_dir=cache,
         lease_seconds=getattr(args, "lease", 30.0),
         max_attempts=getattr(args, "max_attempts", 3),
     )
@@ -869,7 +909,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scale,
         **device_kwargs,
     )
-    result = execute_specs([spec], store=_store(args))[spec]
+    executor, store = _orchestration(args)
+    result = execute_specs([spec], executor=executor, store=store)[spec]
     return _emit_run_result(result, args.json)
 
 
@@ -1097,7 +1138,8 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         scale,
         trace_options=options or None,
     )
-    result = execute_specs([spec], store=_store(args))[spec]
+    executor, store = _orchestration(args)
+    result = execute_specs([spec], executor=executor, store=store)[spec]
     return _emit_run_result(result, args.json)
 
 
@@ -1358,7 +1400,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         sample=min(args.sample, count) if args.sample > 0 else 0,
         qos=args.qos,
         burst=args.burst,
-        faults=_parse_member_faults(args.faults, count),
+        faults=_parse_member_faults(args.member_faults, count),
     )
     executor, store = _orchestration(args)
     payload = run_fleet(fleet, executor=executor, store=store)

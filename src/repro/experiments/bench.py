@@ -199,7 +199,6 @@ def bench_sweep_speedup(
     """
     from repro.experiments.figures import _CONFLICT_DESIGNS, DEFAULT_WORKLOADS
     from repro.experiments.spec import ALL_DESIGNS, matrix_specs
-    from repro.sim.checkpoint import CheckpointStore
 
     scale = scale or SPEEDUP_SCALE
     workloads = DEFAULT_WORKLOADS[:3] if quick else DEFAULT_WORKLOADS
@@ -225,16 +224,19 @@ def bench_sweep_speedup(
     exact_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    checkpoints = CheckpointStore()
+    states: Dict[str, dict] = {}
     unique = list(dict.fromkeys(full_matrix + fabric_matrix))
     measured_events = 0
     warmup_events = 0
     early_stopped_cells = 0
     for spec in unique:
         twin = replace(spec, warmup=warmup, early_stop=early_stop)
-        _, info = twin.execute_instrumented(checkpoints)
+        digest = twin.checkpoint_digest
+        if digest not in states:
+            states[digest], events = twin.compute_checkpoint()
+            warmup_events += events
+        _, info = twin.execute_instrumented(states[digest])
         measured_events += int(info["events"])
-        warmup_events += int(info.get("warmup_events", 0))
         early_stopped_cells += bool(info.get("early_stopped"))
     optimized_events = measured_events + warmup_events
     optimized_seconds = time.perf_counter() - start
@@ -252,7 +254,7 @@ def bench_sweep_speedup(
         "optimized_events": optimized_events,
         "optimized_measured_events": measured_events,
         "optimized_warmup_events": warmup_events,
-        "warmups_computed": len(checkpoints),
+        "warmups_computed": len(states),
         "early_stopped_cells": early_stopped_cells,
         "event_speedup": (
             exact_events / optimized_events if optimized_events else 0.0

@@ -15,6 +15,12 @@ the service use: it deduplicates specs, satisfies what it can from an
 optional :class:`~repro.experiments.store.ResultStore`, and executes only
 the misses.
 
+Specs that declare a warm-up share device checkpoints: before it fans a
+batch out, the executor resolves each distinct warm-up once -- read from
+the store, or simulated (over the pool when ``jobs > 1``) and written back
+to it -- and hands every run its snapshot by value, so N cells of one
+design cost one warm-up simulation, not N.
+
 Two robustness layers harden long sweeps:
 
 * a per-spec wall-clock ``timeout`` runs each simulation in its own killable
@@ -55,56 +61,20 @@ from typing import (
 from repro.errors import ConfigurationError, ExecutionError, SpecRunError
 from repro.experiments.spec import RunSpec
 from repro.metrics.collector import RunResult
-from repro.sim.checkpoint import CheckpointStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.experiments.store import ResultStore
-    from repro.experiments.worker import QueueExecutor
 
 
-def execute_spec(
-    spec: RunSpec, checkpoints: Optional[CheckpointStore] = None
-) -> RunResult:
-    """Module-level worker entry point (picklable for multiprocessing)."""
-    return spec.execute(checkpoints)
+def execute_spec(spec: RunSpec, state: Optional[dict] = None) -> RunResult:
+    """Run one spec from its warm-up snapshot ``state`` (if it has one)."""
+    return spec.execute(state)
 
 
-def _compute_checkpoint(spec: RunSpec) -> Tuple[str, dict]:
-    """Worker entry point: one warm-up simulation -> (digest, snapshot)."""
-    return spec.checkpoint_digest, spec.compute_checkpoint()[0]
-
-
-def checkpoint_ref(checkpoints: Optional[CheckpointStore]) -> object:
-    """A picklable reference that rebuilds a checkpoint store in a worker.
-
-    The directory path for disk-backed stores (workers lazily read the
-    pre-computed files), the preloaded state dict for memory-only stores,
-    ``None`` for no store.
-    """
-    if checkpoints is None:
-        return None
-    if checkpoints.directory is not None:
-        return str(checkpoints.directory)
-    return dict(checkpoints._memory)
-
-
-def _rebuild_checkpoints(ref: object) -> Optional[CheckpointStore]:
-    if isinstance(ref, str):
-        return CheckpointStore(ref)
-    if isinstance(ref, dict):
-        return CheckpointStore(preload=ref)
-    return None
-
-
-def _execute_packed(packed: Tuple[RunSpec, object]) -> RunResult:
-    """Worker entry point for checkpointed parallel runs.
-
-    ``packed`` is ``(spec, ref)`` where ``ref`` is a
-    :func:`checkpoint_ref`.  The parent pre-computes every needed
-    checkpoint before fan-out, so workers only ever *read* the store.
-    """
-    spec, ref = packed
-    return execute_spec(spec, _rebuild_checkpoints(ref))
+def _execute_in_worker(spec: RunSpec, state: Optional[dict]) -> RunResult:
+    """Pool entry point: looks :func:`execute_spec` up when it runs, so a
+    forked worker calls the same function the parent would."""
+    return execute_spec(spec, state)
 
 
 def _worker_context() -> multiprocessing.context.BaseContext:
@@ -119,7 +89,7 @@ def _worker_context() -> multiprocessing.context.BaseContext:
     )
 
 
-def _subprocess_entry(conn, spec: RunSpec, ref: object) -> None:
+def _subprocess_entry(conn, spec: RunSpec, state: Optional[dict]) -> None:
     """Single-spec subprocess body: execute and ship the outcome back.
 
     Sends ``("ok", RunResult)`` or ``("error", traceback_text)`` over the
@@ -127,7 +97,7 @@ def _subprocess_entry(conn, spec: RunSpec, ref: object) -> None:
     is detected by the parent as a crash.
     """
     try:
-        result = execute_spec(spec, _rebuild_checkpoints(ref))
+        result = execute_spec(spec, state)
         conn.send(("ok", result))
     except BaseException:  # noqa: BLE001 - ship *any* failure to the parent
         conn.send(("error", traceback.format_exc()))
@@ -137,7 +107,7 @@ def _subprocess_entry(conn, spec: RunSpec, ref: object) -> None:
 
 def _run_isolated(
     specs: Sequence[RunSpec],
-    ref: object,
+    states: Sequence[Optional[dict]],
     jobs: int,
     timeout: Optional[float],
     finish: Callable[[int, RunResult], None],
@@ -160,7 +130,7 @@ def _run_isolated(
                 parent, child = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_subprocess_entry,
-                    args=(child, spec, ref),
+                    args=(child, spec, states[index]),
                     daemon=True,
                 )
                 proc.start()
@@ -229,7 +199,7 @@ def _run_isolated(
 
 def _run_pool(
     specs: Sequence[RunSpec],
-    ref: object,
+    states: Sequence[Optional[dict]],
     workers: int,
     finish: Callable[[int, RunResult], None],
 ) -> None:
@@ -242,8 +212,8 @@ def _run_pool(
         max_workers=workers, mp_context=_worker_context()
     ) as pool:
         futures = {
-            pool.submit(_execute_packed, (spec, ref)): index
-            for index, spec in enumerate(specs)
+            pool.submit(_execute_in_worker, spec, state): index
+            for index, (spec, state) in enumerate(zip(specs, states))
         }
         for future in as_completed(futures):
             if not isinstance(future.exception(), BrokenProcessPool):
@@ -262,6 +232,9 @@ class Executor:
     the unfinished specs are then retried one subprocess per spec, so
     every healthy spec still completes and the offending spec's digest is
     reported.
+
+    ``warmups`` counts the warm-ups this executor simulated and
+    ``restores`` the runs it handed a warm-up snapshot.
     """
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None) -> None:
@@ -272,15 +245,56 @@ class Executor:
         self.jobs = jobs
         self.timeout = timeout
         self.runs_completed = 0
+        self.warmups = 0
+        self.restores = 0
+
+    def _warm_up(
+        self, specs: Sequence[RunSpec], store: Optional["ResultStore"]
+    ) -> List[Optional[dict]]:
+        """Each spec's warm-up snapshot, ``None`` for a spec without one.
+
+        Each distinct warm-up is read from ``store``, or simulated -- over
+        a pool of up to ``jobs`` workers -- and written back to it.
+        """
+        digests = [
+            spec.checkpoint_digest if spec.warmup else None for spec in specs
+        ]
+        # A spec without a warm-up (digest None) gets no snapshot.
+        states: Dict[Optional[str], Optional[dict]] = {None: None}
+        cold: Dict[str, RunSpec] = {}
+        for spec, digest in zip(specs, digests):
+            if digest in states or digest in cold:
+                continue
+            state = store.get_checkpoint(digest) if store is not None else None
+            if state is None:
+                cold[digest] = spec
+            else:
+                states[digest] = state
+        workers = min(self.jobs, len(cold))
+        warm_up = RunSpec.compute_checkpoint
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=_worker_context()
+            ) as pool:
+                computed = list(pool.map(warm_up, cold.values()))
+        else:
+            computed = map(warm_up, cold.values())
+        for digest, (state, _) in zip(cold, computed):
+            states[digest] = state
+            if store is not None:
+                store.put_checkpoint(digest, state)
+        self.warmups += len(cold)
+        self.restores += len(specs) - digests.count(None)
+        return [states[digest] for digest in digests]
 
     def run(
         self,
         specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
         store: Optional["ResultStore"] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
         """Execute ``specs``, putting each result into ``store`` as it arrives.
 
+        Warm-ups are resolved first, through ``store`` when there is one.
         Returns the results in spec order (``None`` for a failed spec) and
         the collected per-spec failures.
         """
@@ -292,17 +306,17 @@ class Executor:
             if store is not None:
                 store.put(specs[index], result)
 
-        ref = checkpoint_ref(checkpoints)
+        states = self._warm_up(specs, store)
         workers = min(self.jobs, len(specs))
         if self.timeout is not None:
             return results, _run_isolated(
-                specs, ref, workers, self.timeout, finish
+                specs, states, workers, self.timeout, finish
             )
         if workers <= 1:
             for index, spec in enumerate(specs):
-                finish(index, execute_spec(spec, checkpoints))
+                finish(index, execute_spec(spec, states[index]))
             return results, []
-        _run_pool(specs, ref, workers, finish)
+        _run_pool(specs, states, workers, finish)
         unfinished = [
             index for index, result in enumerate(results) if result is None
         ]
@@ -311,7 +325,7 @@ class Executor:
         # identifies the spec whose execution kills its host process.
         failures = _run_isolated(
             [specs[index] for index in unfinished],
-            ref,
+            [states[index] for index in unfinished],
             workers,
             None,
             lambda position, result: finish(unfinished[position], result),
@@ -319,56 +333,19 @@ class Executor:
         return results, failures
 
 
-def _prepare_checkpoints(
-    specs: Sequence[RunSpec], checkpoints: CheckpointStore, jobs: int
-) -> None:
-    """Compute every missing warm-up checkpoint the specs need, in parent.
-
-    Deduplicates by checkpoint digest (a whole matrix slice typically needs
-    one checkpoint per design) and fans the warm-up simulations out over a
-    process pool of up to ``jobs`` workers.  After this pre-pass, worker
-    processes only ever read the store.
-    """
-    pending: Dict[str, RunSpec] = {}
-    for spec in specs:
-        digest = spec.checkpoint_digest
-        if digest not in pending and digest not in checkpoints:
-            pending[digest] = spec
-    targets = list(pending.values())
-    if jobs > 1 and len(targets) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(targets)), mp_context=_worker_context()
-        ) as pool:
-            for digest, state in pool.map(_compute_checkpoint, targets):
-                checkpoints.put(digest, state)
-    else:
-        for spec in targets:
-            digest, state = _compute_checkpoint(spec)
-            checkpoints.put(digest, state)
-
-
 def execute_specs(
     specs: Sequence[RunSpec],
     *,
-    executor: Optional["Executor | QueueExecutor"] = None,
+    executor: Optional[Executor] = None,
     store: Optional["ResultStore"] = None,
-    checkpoints: Optional[CheckpointStore] = None,
 ) -> Dict[RunSpec, RunResult]:
     """Execute a spec set with deduplication and store-backed caching.
 
     Duplicate specs (figures sharing matrix slices) simulate once.  With a
     store, previously-computed results are served from cache and the
-    executor stores each new result as it arrives, so a repeat invocation
-    -- or the re-run of an interrupted one -- simulates only what is not
-    stored yet.
-
-    Specs that declare a warm-up phase share device checkpoints through
-    ``checkpoints``; when none is supplied one is created automatically --
-    disk-backed under ``<store>/checkpoints`` when a result store is in
-    play (so warm-ups persist like results do), memory-only otherwise.
-    Missing checkpoints are computed in a deduplicated pre-pass before
-    the executor fans out, so N matrix cells of one design cost one
-    warm-up simulation, not N.
+    executor stores each new result -- and each warm-up snapshot it
+    simulates -- as it arrives, so a repeat invocation, or the re-run of
+    an interrupted one, simulates only what is not stored yet.
 
     Per-spec failures (a hung spec killed by the executor's ``timeout``, a
     spec that crashes its worker process, a dead-lettered queue task) are
@@ -392,14 +369,7 @@ def execute_specs(
     # specs are exempt -- their identity already pins the trace content.
     for spec in missing:
         spec.verify_trace()
-    needs_warmup = [spec for spec in missing if spec.warmup]
-    if needs_warmup:
-        if checkpoints is None:
-            checkpoints = CheckpointStore(
-                store.directory / "checkpoints" if store is not None else None
-            )
-        _prepare_checkpoints(needs_warmup, checkpoints, executor.jobs)
-    run_results, failures = executor.run(missing, checkpoints, store)
+    run_results, failures = executor.run(missing, store)
     for spec, result in zip(missing, run_results):
         if result is not None:  # a failed spec is reported below
             results[spec] = result

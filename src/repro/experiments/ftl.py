@@ -20,7 +20,7 @@ the discussion points at, as three result families beyond the paper:
 
 Every cell is an ordinary :class:`~repro.experiments.spec.RunSpec`: the
 warm-up (``fill F; churn C``) rides the spec's ``warmup`` field and is paid
-once per (design, warm-up, knobs) via the checkpoint store, the
+once per (design, warm-up, knobs) through a shared checkpoint, the
 over-provisioning knob rides ``device_kwargs`` (digest-joining, strict
 no-op when absent), and execution flows through
 :func:`~repro.experiments.executor.execute_specs` so warm re-runs perform
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.ssd_config import DesignKind
-from repro.experiments.executor import execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.faults import (
     SWEEP_DESIGNS,
     degradation_links,
@@ -50,7 +50,6 @@ from repro.experiments.spec import (
     matrix_specs,
 )
 from repro.metrics.collector import RunResult
-from repro.sim.checkpoint import CheckpointStore
 from repro.sim.stats import LatencyRecorder
 
 #: Fill levels of the default write-cliff curve: two points on the flat
@@ -231,7 +230,6 @@ def run_ftl_sweep(
     *,
     executor=None,
     store=None,
-    checkpoints: Optional[CheckpointStore] = None,
 ) -> Dict[str, object]:
     """Execute the sustained-write sweep and reduce it to curve payloads.
 
@@ -239,14 +237,18 @@ def run_ftl_sweep(
     a list of cells ordered by fill level), ``wa_op`` (per design, a list
     of cells ordered by over-provisioning), and ``gc_faults`` (per design,
     clean/faulted cells plus their p999 ratio) -- and a ``checkpoints``
-    section recording how the warm-up amortization behaved (every cell of
-    a design at one warm-up recipe restores the same snapshot, so hits
-    grow with matrix width while warm-up simulations stay one per recipe).
+    section recording how the warm-up amortization behaved: ``hits``
+    counts the runs handed a warm-up snapshot, ``writes`` the warm-ups
+    simulated, and ``misses`` stays 0 because no run is dispatched
+    without its snapshot (every cell of a design at one warm-up recipe
+    restores the same snapshot, so hits grow with matrix width while
+    warm-up simulations stay one per recipe).  The section counts the
+    same under any ``--jobs``.
 
     All three sections execute as a single batch through
     :func:`~repro.experiments.executor.execute_specs`: shared specs
     deduplicate, a result store serves warm cells without simulating, and
-    checkpoints are computed in one pre-pass.
+    each warm-up is resolved once before the runs fan out.
     """
     scale = scale or sustained_scale(seed=seed)
     cliff_plan = write_cliff_specs(
@@ -264,13 +266,9 @@ def run_ftl_sweep(
     all_specs += [
         spec for cells in gc_plan.values() for spec in cells.values()
     ]
-    if checkpoints is None:
-        checkpoints = CheckpointStore(
-            store.directory / "checkpoints" if store is not None else None
-        )
-    results = execute_specs(
-        all_specs, executor=executor, store=store, checkpoints=checkpoints
-    )
+    executor = executor or Executor()
+    warmups, restores = executor.warmups, executor.restores
+    results = execute_specs(all_specs, executor=executor, store=store)
 
     write_cliff: Dict[str, List[Dict[str, float]]] = {}
     for fill in sorted(cliff_plan):
@@ -318,8 +316,8 @@ def run_ftl_sweep(
         "wa_op": wa_op,
         "gc_faults": gc_faults,
         "checkpoints": {
-            "hits": checkpoints.hits,
-            "misses": checkpoints.misses,
-            "writes": checkpoints.writes,
+            "hits": executor.restores - restores,
+            "misses": 0,
+            "writes": executor.warmups - warmups,
         },
     }

@@ -604,13 +604,17 @@ class RunSpec:
             device.run_trace(trace.requests, "checkpoint-warmup")
         return snapshot_device(device), device.engine.processed_events
 
-    def execute_instrumented(self, checkpoints=None) -> Tuple[RunResult, Dict[str, object]]:
+    def execute_instrumented(
+        self, state: Optional[dict] = None
+    ) -> Tuple[RunResult, Dict[str, object]]:
         """Run the simulation and report how much simulating it took.
 
-        Returns ``(result, info)`` where ``info`` records ``events`` (engine
-        events of the measured phase), ``warmup_events`` (events spent
-        computing a warm-up checkpoint in-process; 0 when restored from
-        ``checkpoints`` or when the spec has no warm-up),
+        ``state`` is the spec's warm-up snapshot, when the caller has it;
+        a warm-up-bearing spec run without one simulates its warm-up
+        in-process first.  Returns ``(result, info)`` where ``info``
+        records ``events`` (engine events of the measured phase),
+        ``warmup_events`` (events spent computing the warm-up in-process;
+        0 when ``state`` was given or the spec has no warm-up),
         ``checkpoint_restored``, ``early_stopped``, and
         ``simulated_requests``.  With an empty ``warmup`` and ``early_stop``
         the code path -- and therefore the result -- is exactly the legacy
@@ -620,22 +624,12 @@ class RunSpec:
         info: Dict[str, object] = {
             "events": 0,
             "warmup_events": 0,
-            "checkpoint_restored": False,
+            "checkpoint_restored": state is not None,
             "early_stopped": False,
             "simulated_requests": 0,
         }
-        state = None
-        if self.warmup:
-            digest = self.checkpoint_digest
-            if checkpoints is not None:
-                state = checkpoints.get(digest)
-            if state is not None:
-                info["checkpoint_restored"] = True
-            else:
-                state, warmup_events = self.compute_checkpoint()
-                info["warmup_events"] = warmup_events
-                if checkpoints is not None:
-                    checkpoints.put(digest, state)
+        if self.warmup and state is None:
+            state, info["warmup_events"] = self.compute_checkpoint()
         device = self._build_device(config, with_faults=True)
         if state is not None:
             restore_device(device, state)
@@ -665,7 +659,7 @@ class RunSpec:
         )
         return result, info
 
-    def execute(self, checkpoints=None) -> RunResult:
+    def execute(self, state: Optional[dict] = None) -> RunResult:
         """Rebuild config and trace from the spec and run the simulation.
 
         This is the function the executor workers call: everything is
@@ -674,11 +668,10 @@ class RunSpec:
         Fleet member specs replay their dispatcher share of the fleet's
         tenant traffic instead of the plain workload trace; an empty share
         (more devices than requests) finalizes to an all-zero result.
-        ``checkpoints`` optionally supplies a
-        :class:`~repro.sim.checkpoint.CheckpointStore` that warm-up-bearing
-        specs consult (and populate) instead of re-simulating warm-up.
+        ``state`` is the spec's warm-up snapshot, restored instead of
+        re-simulating the warm-up (see :meth:`execute_instrumented`).
         """
-        return self.execute_instrumented(checkpoints)[0]
+        return self.execute_instrumented(state)[0]
 
 
 def make_spec(

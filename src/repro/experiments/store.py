@@ -4,15 +4,20 @@ Each entry holds both the spec (for integrity checking and offline
 inspection) and the result, serialized as one JSON document at
 ``<store>/<digest>.json``.  The store is what lets fig9/10/13/14 share one
 simulated matrix, and what makes a repeated ``venice-sim matrix --cache
-DIR`` invocation perform zero new simulations.
+DIR`` invocation perform zero new simulations.  Warm-up snapshots (see
+:mod:`repro.sim.checkpoint`) live beside the results as
+``<store>/checkpoints/<checkpoint-digest>.json`` entries, each holding
+``{"digest", "state"}``, so a sweep pays each warm-up once across
+processes too.
 
 Entries are published by write-then-rename under a per-writer temp name,
 so any number of threads and processes (the service's worker pool, the
 work-queue workers of :mod:`repro.experiments.worker`) can write one
 store, even the same digest, and a reader never sees a torn entry.
-:meth:`ResultStore.verify` makes the store self-healing: entries whose
-content no longer matches their digest key are *quarantined* (moved to
-``quarantine/``, never served) instead of poisoning every later sweep.
+:meth:`ResultStore.verify` makes the store self-healing: results and
+checkpoints whose content no longer matches their digest key are
+*quarantined* (moved to ``quarantine/``, never served) instead of
+poisoning every later sweep.
 
 A directory written by one of the retired layouts (sharded ``objects/``
 or SQLite ``store.sqlite3``) is refused with a
@@ -35,6 +40,8 @@ from repro.metrics.collector import RunResult
 _SCHEMA_VERSION = 1
 
 _QUARANTINE_DIRNAME = "quarantine"
+
+_CHECKPOINT_DIRNAME = "checkpoints"
 
 #: (marker, layout name) of each retired on-disk layout.
 _RETIRED_LAYOUTS = (("store.sqlite3", "sqlite"), ("objects/", "sharded"))
@@ -69,6 +76,12 @@ class ResultStore:
 
     def _entry_paths(self) -> List[Path]:
         return sorted(self.directory.glob("*.json"))
+
+    def _checkpoint_path(self, digest: str) -> Path:
+        return self.directory / _CHECKPOINT_DIRNAME / f"{digest}.json"
+
+    def _checkpoint_paths(self) -> List[Path]:
+        return sorted((self.directory / _CHECKPOINT_DIRNAME).glob("*.json"))
 
     def _quarantined_paths(self) -> List[Path]:
         return sorted((self.directory / _QUARANTINE_DIRNAME).glob("*.json"))
@@ -125,6 +138,26 @@ class ResultStore:
         }
         return json.dumps(payload, indent=1)
 
+    def _decode_checkpoint(self, digest: str, text: str) -> dict:
+        """Parse one checkpoint file, enforcing that it holds ``digest``."""
+        name = self._checkpoint_path(digest)
+        repair = "; run `venice-sim store verify --repair`"
+        try:
+            payload = json.loads(text)
+        except ValueError as error:
+            raise SimulationError(
+                f"corrupt checkpoint file {name} ({error}){repair}"
+            ) from error
+        if not (
+            isinstance(payload, dict)
+            and payload.get("digest") == digest
+            and isinstance(payload.get("state"), dict)
+        ):
+            raise SimulationError(
+                f"checkpoint file {name} does not hold digest {digest}{repair}"
+            )
+        return payload["state"]
+
     # -- the cache interface -------------------------------------------- #
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
@@ -149,6 +182,21 @@ class ResultStore:
         self.writes += 1
         return path
 
+    def get_checkpoint(self, digest: str) -> Optional[dict]:
+        """The warm-up snapshot stored under ``digest``, or ``None``.
+
+        Raises :class:`~repro.errors.SimulationError` naming the file when
+        it is torn or holds another digest.
+        """
+        text = self._read(self._checkpoint_path(digest))
+        return None if text is None else self._decode_checkpoint(digest, text)
+
+    def put_checkpoint(self, digest: str, state: dict) -> None:
+        """Store a warm-up snapshot under its checkpoint digest."""
+        path = self._checkpoint_path(digest)
+        path.parent.mkdir(exist_ok=True)
+        atomic_write_text(path, json.dumps({"digest": digest, "state": state}))
+
     def __contains__(self, spec: RunSpec) -> bool:
         return spec.digest in self._memory or self.path_for(spec).exists()
 
@@ -157,45 +205,55 @@ class ResultStore:
 
     # -- maintenance ----------------------------------------------------- #
 
-    def _quarantine(self, digest: str) -> None:
-        """Move an entry into ``quarantine/`` (no-op when absent).
+    def _quarantine(self, path: Path) -> None:
+        """Move an entry file into ``quarantine/`` (no-op when absent).
 
         A quarantined entry is never served again, but its bytes are kept
-        for post-mortem inspection until :meth:`gc` purges them.
+        for post-mortem inspection until :meth:`gc` purges them.  A
+        checkpoint keeps its folder in its name
+        (``quarantine/checkpoints-<digest>.json``).
         """
         target = self.directory / _QUARANTINE_DIRNAME
         target.mkdir(exist_ok=True)
+        name = "-".join(path.relative_to(self.directory).parts)
         try:
-            os.replace(self._path(digest), target / f"{digest}.json")
+            os.replace(path, target / name)
         except FileNotFoundError:
             pass
 
     def verify(self, repair: bool = False) -> Dict[str, object]:
         """Check every entry's integrity; optionally quarantine failures.
 
-        An entry fails when its JSON does not parse, its schema is foreign,
+        A result fails when its JSON does not parse, its schema is foreign,
         its stored spec's recomputed content digest mismatches the digest
-        key it is filed under, or its result payload does not rebuild.
-        With ``repair=True`` failing entries are moved to ``quarantine/``
-        (they are re-simulated on the next sweep, exactly like cache
-        misses); without it they are only reported.  Returns a report dict
-        with ``checked`` / ``ok`` / ``corrupt`` / ``quarantined`` keys.
+        key it is filed under, or its result payload does not rebuild; a
+        checkpoint fails when its JSON does not parse or it does not hold
+        the digest it is filed under.  With ``repair=True`` failing entries
+        are moved to ``quarantine/`` (they are re-simulated on the next
+        sweep, exactly like cache misses); without it they are only
+        reported.  Returns a report dict with ``checked`` / ``ok`` /
+        ``corrupt`` / ``quarantined`` keys.
         """
         corrupt: List[Dict[str, str]] = []
         checked = 0
-        for path in self._entry_paths():
+        entries = [(path, self._decode) for path in self._entry_paths()]
+        entries += [
+            (path, self._decode_checkpoint)
+            for path in self._checkpoint_paths()
+        ]
+        for path, decode in entries:
             checked += 1
             text = self._read(path)
             if text is None:  # pragma: no cover - raced deletion
                 continue
             digest = path.stem
             try:
-                self._decode(digest, text)
+                decode(digest, text)
             except SimulationError as error:
                 corrupt.append({"digest": digest, "error": str(error)})
                 self._memory.pop(digest, None)
                 if repair:
-                    self._quarantine(digest)
+                    self._quarantine(path)
         return {
             "checked": checked,
             "ok": checked - len(corrupt),
@@ -257,15 +315,11 @@ class ResultStore:
     def stats(self) -> Dict[str, object]:
         """Observability snapshot: on-disk contents plus session counters.
 
-        Reports entry counts and byte totals (device checkpoints live
-        under ``checkpoints/``, written by
-        :class:`~repro.sim.checkpoint.CheckpointStore` when warm-up
-        amortization is on) alongside this process's hit/miss/write
-        counters.
+        Reports result and checkpoint counts and byte totals alongside this
+        process's hit/miss/write counters (results only).
         """
         entries = self._entry_paths()
-        checkpoint_dir = self.directory / "checkpoints"
-        checkpoint_files = sorted(checkpoint_dir.glob("*.json"))
+        checkpoint_files = self._checkpoint_paths()
         return {
             "directory": str(self.directory),
             "entries": len(entries),

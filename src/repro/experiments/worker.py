@@ -38,7 +38,6 @@ from repro.experiments.queue import Task, WorkQueue, default_owner_id
 from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
 from repro.metrics.collector import RunResult
-from repro.sim.checkpoint import CheckpointStore
 
 
 class _HeartbeatThread(threading.Thread):
@@ -107,18 +106,14 @@ class QueueWorker:
         self.failed = 0
         self.reclaimed = 0
 
-    def _checkpoints_for(self, spec: RunSpec) -> Optional[CheckpointStore]:
-        if not spec.warmup:
-            return None
-        # Disk-backed under the shared result store, so every worker (and
-        # the sweep front end's pre-pass) shares one warm-up per design.
-        return CheckpointStore(self.store.directory / "checkpoints")
-
     def _execute(self, task: Task) -> None:
-        """Run the task's spec; the executor stores its result."""
-        _, failures = self.executor.run(
-            [task.spec], self._checkpoints_for(task.spec), self.store
-        )
+        """Run the task's spec; the executor stores its result.
+
+        A warm-up-bearing spec restores its snapshot from the queue's
+        store, where the sweep front end put it before enqueueing; a
+        missing one is simulated and written back.
+        """
+        _, failures = self.executor.run([task.spec], self.store)
         if failures:
             raise failures[0]
 
@@ -201,7 +196,7 @@ class QueueWorker:
         }
 
 
-class QueueExecutor:
+class QueueExecutor(Executor):
     """Executor backend that runs a spec batch through a work queue.
 
     Takes the place of :class:`~repro.experiments.executor.Executor` inside
@@ -212,13 +207,13 @@ class QueueExecutor:
     processes sharing the directory speed the batch up and are
     interchangeable with the in-process participant.
 
-    It stores nothing itself: whichever worker ran a task wrote its result
-    into the queue's bound store before marking the task done, so a batch
-    writes each entry once.  Dead-lettered specs come back as failures,
-    so sweeps degrade gracefully instead of hanging.
+    It stores no result itself: whichever worker ran a task wrote its
+    result into the queue's bound store before marking the task done, so a
+    batch writes each entry once.  It does resolve the batch's warm-ups
+    into that store before enqueueing, once each, so no worker simulates
+    one.  Dead-lettered specs come back as failures, so sweeps degrade
+    gracefully instead of hanging.
     """
-
-    jobs = 1
 
     def __init__(
         self,
@@ -228,24 +223,22 @@ class QueueExecutor:
         poll_interval: float = 0.2,
         timeout: Optional[float] = None,
     ) -> None:
+        super().__init__(timeout=timeout)
         self.queue = queue
         self.poll_interval = poll_interval
         self.worker = QueueWorker(
             queue, owner=owner, timeout=timeout, poll_interval=poll_interval
         )
-        self.runs_completed = 0
 
     def run(
         self,
         specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
         store: Optional[ResultStore] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
         """Enqueue-and-wait; failures are the batch's dead-lettered specs.
 
         Results are read back from the queue's bound store, which is the
-        only ``store`` a queued batch can fill; the workers find their
-        warm-up checkpoints beside it, so ``checkpoints`` goes unused.
+        only ``store`` a queued batch can fill.
         """
         bound = self.worker.store
         if store is not None and (
@@ -255,6 +248,7 @@ class QueueExecutor:
                 f"a queued batch stores into the queue's store "
                 f"{bound.directory}, not {store.directory}"
             )
+        self._warm_up(specs, bound)
         by_digest = {spec.digest: spec for spec in specs}
         self.queue.enqueue_specs(list(specs))
         while not self.queue.drained(list(by_digest)):

@@ -15,9 +15,10 @@ simulation can seed an entire matrix:
   the mutable device state: per-block NAND occupancy and erase counts,
   the logical-to-physical mapping, allocator cursors and RNG stream, and
   DRAM-cache residency,
-* :class:`CheckpointStore` -- a content-addressed store (in-memory, with an
-  optional on-disk mirror beside the result store) keyed by the checkpoint
-  digest.
+* the result store (:class:`~repro.experiments.store.ResultStore`) keeps
+  each snapshot as ``checkpoints/<checkpoint-digest>.json``, and the
+  executor hands every run its snapshot by value
+  (:meth:`~repro.experiments.spec.RunSpec.execute`).
 
 Snapshots are taken at *quiescence* -- no in-flight programs, an empty event
 loop -- which makes the state small and exactly reconstructible: a block's
@@ -32,11 +33,9 @@ checkpointed run bit-identical to a cold run of the same spec.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import (
     ConfigurationError,
@@ -44,7 +43,6 @@ from repro.errors import (
     NandProtocolError,
     SimulationError,
 )
-from repro.fileio import atomic_write_text
 from repro.nand.chip import PageState
 
 #: Snapshot payload format version; bumped on incompatible layout changes.
@@ -336,75 +334,3 @@ def _restore_mapping(mapping, pairs: List[list], occupancy: bytearray) -> None:
         mapping.load(lpns, ppns)
     except MappingError as error:
         raise SimulationError(f"corrupt checkpoint: mapping {error}") from error
-
-
-class CheckpointStore:
-    """Content-addressed checkpoint store keyed by the checkpoint digest.
-
-    Snapshots live in an in-memory map, optionally mirrored to one JSON
-    file per digest under ``directory`` (created on demand, conventionally
-    ``<result-store>/checkpoints``) so warm-up work survives across
-    processes exactly like cached results do.  Writes go through a
-    write-then-rename so a crashed run never leaves a torn file behind.
-    Hit/miss/write counters make cache behaviour observable in tests and
-    ``venice-sim store stats``.
-    """
-
-    def __init__(self, directory=None, *, preload: Optional[dict] = None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: Dict[str, dict] = dict(preload or {})
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    def path_for(self, digest: str) -> Path:
-        """On-disk path of a digest's snapshot (directory-backed stores)."""
-        if self.directory is None:
-            raise ConfigurationError("checkpoint store has no directory")
-        return self.directory / f"{digest}.json"
-
-    def get(self, digest: str) -> Optional[dict]:
-        """The stored snapshot for ``digest``, or ``None`` on a miss."""
-        state = self._memory.get(digest)
-        if state is None and self.directory is not None:
-            path = self.path_for(digest)
-            if path.exists():
-                try:
-                    payload = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError) as error:
-                    raise SimulationError(
-                        f"corrupt checkpoint file {path}: {error}"
-                    ) from error
-                if payload.get("digest") != digest or "state" not in payload:
-                    raise SimulationError(
-                        f"checkpoint file {path} does not hold digest "
-                        f"{digest}"
-                    )
-                state = payload["state"]
-                self._memory[digest] = state
-        if state is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return state
-
-    def put(self, digest: str, state: dict) -> None:
-        """Store a snapshot under its digest (memory, then disk mirror)."""
-        self._memory[digest] = state
-        self.writes += 1
-        if self.directory is not None:
-            payload = {"digest": digest, "state": state}
-            atomic_write_text(self.path_for(digest), json.dumps(payload))
-
-    def __contains__(self, digest: str) -> bool:
-        if digest in self._memory:
-            return True
-        return self.directory is not None and self.path_for(digest).exists()
-
-    def __len__(self) -> int:
-        digests = set(self._memory)
-        if self.directory is not None:
-            digests.update(path.stem for path in self.directory.glob("*.json"))
-        return len(digests)

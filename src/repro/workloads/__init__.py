@@ -24,7 +24,6 @@ from repro.workloads.catalog import (
     generate_workload,
 )
 from repro.workloads.mixes import MIX_CATALOG, mix_names, generate_mix
-from repro.workloads.ycsb import YcsbGenerator
 from repro.workloads.replay import TraceWorkload
 from repro.workloads.formats import (
     TraceRecord,
@@ -48,7 +47,6 @@ __all__ = [
     "MIX_CATALOG",
     "mix_names",
     "generate_mix",
-    "YcsbGenerator",
     "TraceWorkload",
     "TraceRecord",
     "detect_format",

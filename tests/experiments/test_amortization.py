@@ -16,7 +16,6 @@ from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.figures import _CONFLICT_DESIGNS
 from repro.experiments.spec import ExperimentScale, RunSpec, make_spec
 from repro.experiments.store import ResultStore
-from repro.sim.checkpoint import CheckpointStore
 
 #: Sub-saturation scale: a latency steady state exists for the early-stop
 #: monitor to detect (the default overloaded scale has none, by design).
@@ -64,9 +63,8 @@ class TestCheckpointIdentity:
         cold, cold_info = spec.execute_instrumented()
         assert cold_info["warmup_events"] > 0
 
-        checkpoints = CheckpointStore()
-        checkpoints.put(spec.checkpoint_digest, spec.compute_checkpoint()[0])
-        warm, warm_info = spec.execute_instrumented(checkpoints)
+        state, _ = spec.compute_checkpoint()
+        warm, warm_info = spec.execute_instrumented(state)
         assert warm_info["checkpoint_restored"] is True
         assert warm_info["warmup_events"] == 0
         assert warm.to_dict() == cold.to_dict()
@@ -76,11 +74,10 @@ class TestCheckpointIdentity:
             replace(_exact("venice", workload), warmup="fill 0.3; steps 150")
             for workload in ("hm_0", "prxy_0", "proj_3")
         ]
-        checkpoints = CheckpointStore()
-        for spec in specs:
-            spec.execute_instrumented(checkpoints)
-        assert checkpoints.writes == 1  # one digest serves all three cells
-        assert checkpoints.hits == len(specs) - 1
+        executor = Executor()
+        execute_specs(specs, executor=executor)
+        assert executor.warmups == 1  # one digest serves all three cells
+        assert executor.restores == len(specs)
 
 
 class TestEarlyStopAccuracy:
@@ -96,9 +93,9 @@ class TestEarlyStopAccuracy:
         for kind in _CONFLICT_DESIGNS:
             full = replace(_exact(kind), warmup=WARMUP)
             fast = replace(full, early_stop=EARLY_STOP)
-            checkpoints = CheckpointStore()
-            full_result, _ = full.execute_instrumented(checkpoints)
-            fast_result, fast_info = fast.execute_instrumented(checkpoints)
+            state, _ = full.compute_checkpoint()
+            full_result, _ = full.execute_instrumented(state)
+            fast_result, fast_info = fast.execute_instrumented(state)
             cells[kind.value] = (full_result, fast_result, fast_info)
         return cells
 

@@ -5,12 +5,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     Executor,
-    _rebuild_checkpoints,
-    checkpoint_ref,
     execute_spec,
     execute_specs,
 )
-from repro.sim.checkpoint import CheckpointStore
 from repro.experiments.figures import run_all_figures, run_figure
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.experiments.store import ResultStore
@@ -47,9 +44,9 @@ def test_inline_executor_stores_each_result_before_the_next_spec_starts(
     store = ResultStore(tmp_path)
     stored_at_start = []
 
-    def spy(spec, checkpoints=None):
+    def spy(spec, state=None):
         stored_at_start.append([other in store for other in SPECS])
-        return execute_spec(spec, checkpoints)
+        return execute_spec(spec, state)
 
     monkeypatch.setattr("repro.experiments.executor.execute_spec", spy)
     execute_specs(SPECS, executor=Executor(), store=store)
@@ -138,20 +135,3 @@ def test_parallel_matrix_equals_sequential_matrix():
 def test_isolated_execution_matches_inline_execution():
     isolated = Executor(timeout=300.0).run([SPECS[0]])
     assert isolated == ([execute_spec(SPECS[0])], [])
-
-
-def test_checkpoint_refs_round_trip_every_store_flavor(tmp_path):
-    assert checkpoint_ref(None) is None
-    assert _rebuild_checkpoints(None) is None
-
-    disk = CheckpointStore(tmp_path)
-    ref = checkpoint_ref(disk)
-    assert ref == str(tmp_path)
-    assert _rebuild_checkpoints(ref).directory == tmp_path
-
-    memory = CheckpointStore(preload={"digest": {"state": 1}})
-    ref = checkpoint_ref(memory)
-    assert ref == {"digest": {"state": 1}}
-    rebuilt = _rebuild_checkpoints(ref)
-    assert rebuilt.directory is None
-    assert rebuilt._memory == memory._memory

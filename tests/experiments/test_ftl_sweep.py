@@ -24,7 +24,7 @@ from repro.experiments.spec import (
 )
 from repro.experiments.store import ResultStore
 from repro.ftl.allocator import AllocationStrategy
-from repro.sim.checkpoint import CheckpointStore, snapshot_device
+from repro.sim.checkpoint import snapshot_device
 from repro.ssd.device import SsdDevice
 
 SCALE = ExperimentScale(
@@ -122,6 +122,21 @@ def test_warm_rerun_simulates_nothing(sweep):
     first_curves = {k: payload[k] for k in ("write_cliff", "wa_op", "gc_faults")}
     second_curves = {k: second[k] for k in ("write_cliff", "wa_op", "gc_faults")}
     assert first_curves == second_curves
+
+
+def test_parallel_sweep_returns_the_serial_payload():
+    """Restores are counted where runs are dispatched, so the checkpoint
+    section of a pooled sweep reads as the serial one does."""
+    kwargs = dict(
+        scale=sustained_scale(requests=60),
+        designs=SWEEP_DESIGNS,
+        fill_levels=(0.5,),
+        wa_fill=0.5,
+        op_levels=(0.07,),
+    )
+    serial = run_ftl_sweep(**kwargs)
+    assert serial["checkpoints"] == {"hits": 8, "misses": 0, "writes": 6}
+    assert run_ftl_sweep(executor=Executor(2), **kwargs) == serial
 
 
 # --------------------------------------------------------------------- #

@@ -272,6 +272,25 @@ def test_queued_sweep_matches_serial_execution(tmp_path):
     assert rerun.worker.store.writes == 0
 
 
+def test_queued_sweep_resolves_each_warm_up_once_before_enqueueing(tmp_path):
+    specs = [
+        make_spec(design, "performance-optimized", workload, SCALE,
+                  warmup="fill 0.3")
+        for design, workload in (
+            ("baseline", "proj_3"), ("venice", "proj_3"), ("venice", "hm_0")
+        )
+    ]
+    executor = QueueExecutor(make_queue(tmp_path))
+    queued = execute_specs(specs, executor=executor, store=executor.worker.store)
+    assert queued == execute_specs(specs)
+    # The front end simulated both warm-ups into the bound store, and the
+    # worker that ran the three tasks restored them, simulating none.
+    assert (executor.warmups, executor.restores) == (2, 3)
+    worker = executor.worker.executor
+    assert (worker.warmups, worker.restores) == (0, 3)
+    assert executor.worker.store.stats()["checkpoints"] == 2
+
+
 def test_queue_executor_reports_dead_letters_as_failures(
     tmp_path, monkeypatch
 ):

@@ -13,13 +13,23 @@ import pytest
 import repro
 from repro.cli import main
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.experiments.store import ResultStore
 from repro.metrics.collector import RunResult
-from repro.sim.checkpoint import CheckpointStore
 
 SCALE = ExperimentScale(requests=60, blocks_per_plane=8, pages_per_block=8)
 WORKLOADS = ("hm_0", "proj_3", "YCSB_B")
+
+
+def warm_specs(workload):
+    """Two warm-up-bearing specs with distinct checkpoints; every workload
+    shares them, as the checkpoint digest leaves the workload out."""
+    return [
+        make_spec(design, "performance-optimized", workload, SCALE,
+                  warmup="fill 0.3")
+        for design in ("baseline", "venice")
+    ]
 
 
 def sample_result() -> RunResult:
@@ -215,9 +225,60 @@ def test_compact_leaves_unparseable_entries_for_verify(tmp_path):
     assert [c["digest"] for c in report["corrupt"]] == ["deadbeef" * 8]
 
 
+def test_verify_repair_and_gc_heal_corrupt_checkpoints(tmp_path):
+    execute_specs(warm_specs("hm_0"), store=ResultStore(tmp_path))
+    rerun = warm_specs("proj_3")  # new results, the same two warm-ups
+    torn, foreign = (
+        tmp_path / "checkpoints" / f"{spec.checkpoint_digest}.json"
+        for spec in rerun
+    )
+    torn.write_text(torn.read_text()[:100])
+    foreign.write_text(json.dumps({"digest": "0" * 64, "state": {}}))
+
+    # A sweep that needs a corrupt warm-up fails naming file and remedy.
+    with pytest.raises(SimulationError, match="store verify --repair") as info:
+        execute_specs(rerun, store=ResultStore(tmp_path))
+    assert str(torn) in str(info.value)
+
+    report = ResultStore(tmp_path).verify()
+    assert (report["checked"], report["ok"], report["quarantined"]) == (4, 2, 0)
+    assert sorted(entry["digest"] for entry in report["corrupt"]) == sorted(
+        spec.checkpoint_digest for spec in rerun
+    )
+    assert ResultStore(tmp_path).verify(repair=True)["quarantined"] == 2
+    assert (tmp_path / "quarantine" / f"checkpoints-{torn.name}").is_file()
+    assert ResultStore(tmp_path).stats()["quarantined"] == 2
+
+    # Quarantined warm-ups read as misses: recomputed and written back.
+    executor = Executor()
+    healed = ResultStore(tmp_path)
+    execute_specs(rerun, executor=executor, store=healed)
+    assert (executor.warmups, executor.restores) == (2, 2)
+    assert healed.verify()["corrupt"] == []
+    assert healed.gc()["reclaimed_bytes"] > 0
+    assert list((tmp_path / "quarantine").iterdir()) == []
+
+
+def test_a_checkpoint_file_in_the_original_format_is_served(tmp_path):
+    spec = warm_specs("hm_0")[0]
+    state, _ = spec.compute_checkpoint()
+    # The bytes every release since checkpoints were added has written.
+    legacy = json.dumps({"digest": spec.checkpoint_digest, "state": state})
+    path = tmp_path / "checkpoints" / f"{spec.checkpoint_digest}.json"
+    path.parent.mkdir()
+    path.write_text(legacy)
+    executor = Executor()
+    results = execute_specs([spec], executor=executor,
+                            store=ResultStore(tmp_path))
+    assert (executor.warmups, executor.restores) == (0, 1)
+    assert results[spec] == spec.execute()
+    ResultStore(tmp_path).put_checkpoint(spec.checkpoint_digest, state)
+    assert path.read_text() == legacy
+
+
 def test_quarantining_an_absent_digest_is_a_noop(tmp_path):
     store = ResultStore(tmp_path)
-    store._quarantine("feedface" * 8)
+    store._quarantine(tmp_path / ("feedface" * 8 + ".json"))
     assert store.stats()["quarantined"] == 0
 
 
@@ -293,10 +354,12 @@ def test_threads_putting_one_digest_never_collide(tmp_path):
 
 def test_checkpoint_threads_putting_one_digest_never_collide(tmp_path):
     state = {"blocks": list(range(2000))}
-    stores = [CheckpointStore(tmp_path), CheckpointStore(tmp_path)]
-    assert _hammer(stores, lambda store: store.put("d" * 64, state)) == []
-    assert CheckpointStore(tmp_path).get("d" * 64) == state
-    assert not list(tmp_path.glob("*.tmp"))
+    stores = [ResultStore(tmp_path), ResultStore(tmp_path)]
+    assert _hammer(
+        stores, lambda store: store.put_checkpoint("d" * 64, state)
+    ) == []
+    assert ResultStore(tmp_path).get_checkpoint("d" * 64) == state
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 _WRITER_SCRIPT = """

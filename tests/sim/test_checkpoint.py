@@ -1,4 +1,5 @@
-"""Device-state checkpointing: grammar, snapshot round-trips, the store."""
+"""Device-state checkpointing: grammar, snapshot round-trips, and the
+result store's checkpoint entries."""
 
 import json
 import re
@@ -8,11 +9,11 @@ import pytest
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.spec import ExperimentScale, build_config, make_spec
+from repro.experiments.store import ResultStore
 from repro.ftl.allocator import AllocationStrategy
 from repro.ftl.cache import DramCache
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
-    CheckpointStore,
     WarmupPhase,
     restore_device,
     snapshot_device,
@@ -281,46 +282,33 @@ class TestSnapshotRestore:
 
 
 class TestCheckpointStore:
-    def test_memory_store_counts_hits_misses_writes(self):
-        store = CheckpointStore()
-        assert store.get("d1") is None
-        store.put("d1", {"state": 1})
-        assert store.get("d1") == {"state": 1}
-        assert "d1" in store and "d2" not in store
-        assert (store.hits, store.misses, store.writes) == (1, 1, 1)
-        assert len(store) == 1
+    """Warm-up snapshots kept as ``checkpoints/<digest>.json`` entries."""
 
     def test_disk_store_survives_a_fresh_instance(self, tmp_path):
-        CheckpointStore(tmp_path).put("abc", {"blocks": []})
-        fresh = CheckpointStore(tmp_path)
-        assert "abc" in fresh
-        assert fresh.get("abc") == {"blocks": []}
-        assert fresh.hits == 1
+        ResultStore(tmp_path).put_checkpoint("abc", {"blocks": []})
+        fresh = ResultStore(tmp_path)
+        assert fresh.get_checkpoint("abc") == {"blocks": []}
+        assert fresh.get_checkpoint("absent") is None
+        assert fresh.stats()["checkpoints"] == 1
 
     def test_corrupt_file_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.path_for("bad").write_text("{not json", encoding="utf-8")
-        with pytest.raises(SimulationError, match="corrupt"):
-            store.get("bad")
+        store = ResultStore(tmp_path)
+        store.put_checkpoint("bad", {})
+        path = tmp_path / "checkpoints" / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(SimulationError, match="corrupt") as excinfo:
+            store.get_checkpoint("bad")
+        assert str(path) in str(excinfo.value)
+        assert "store verify --repair" in str(excinfo.value)
 
     def test_digest_mismatch_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.path_for("x").write_text(
-            json.dumps({"digest": "y", "state": {}}), encoding="utf-8"
+        store = ResultStore(tmp_path)
+        store.put_checkpoint("y", {})
+        (tmp_path / "checkpoints" / "y.json").rename(
+            tmp_path / "checkpoints" / "x.json"
         )
         with pytest.raises(SimulationError, match="does not hold"):
-            store.get("x")
-
-    def test_memory_only_store_has_no_paths(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointStore().path_for("d")
-
-    def test_len_unions_memory_and_disk_digests(self, tmp_path):
-        CheckpointStore(tmp_path).put("on-disk", {"blocks": []})
-        store = CheckpointStore(tmp_path, preload={"in-memory": {}})
-        assert len(store) == 2
-        store.put("on-disk", {"blocks": []})  # both places: counted once
-        assert len(store) == 2
+            store.get_checkpoint("x")
 
 
 class TestCheckpointDigest:

@@ -152,6 +152,33 @@ def test_matrix_checks_names_before_making_a_directory(tmp_path, capsys):
         assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "fig13", "--requests", "60", "--workloads", "hm_0",
+         "--warmup", "bogus 1", "--cache"],
+        ["qos", "sweep", "--requests", "40", "--designs", "venice",
+         "--placements", "round-robin", "--levels", "1",
+         "--policies", "warp-speed:9", "--cache"],
+        ["fleet", "sweep", "--requests", "40", "--devices", "2",
+         "--placements", "bogus", "--cache"],
+        ["matrix", "--figures", "fig13", "--requests", "60", "--workloads",
+         "hm_0", "--early-stop", "window 0", "--queue"],
+        ["compare", "--workload", "bogus", "--cache"],
+        ["faults", "sweep", "--workload", "bogus", "--cache"],
+        ["ftl", "sweep", "--workload", "bogus", "--cache"],
+        ["fleet", "run", "--workload", "bogus", "--cache"],
+        ["run", "--workload", "bogus", "--cache"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_bad_flags_exit_before_making_a_directory(tmp_path, capsys, argv):
+    target = tmp_path / "dir"
+    assert main(argv + [str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_cache_path_that_is_a_file_errors_cleanly(tmp_path, capsys):
     target = tmp_path / "not-a-dir"
     target.write_text("")

@@ -1,4 +1,4 @@
-"""Tests for Table 3 mixes, the Trace container, and the YCSB generator."""
+"""Tests for Table 3 mixes and the Trace container."""
 
 from pathlib import Path
 
@@ -10,7 +10,6 @@ from repro.hil.request import IoKind
 from repro.workloads.formats import detect_format, iter_trace_records
 from repro.workloads.mixes import MIX_CATALOG, generate_mix, mix_names
 from repro.workloads.trace import Trace, trace_from_rows
-from repro.workloads.ycsb import KeyDistribution, YcsbGenerator
 
 FOOTPRINT = 256 << 20
 
@@ -105,53 +104,3 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(WorkloadError):
         list(iter_trace_records(path, "venice-csv"))
-
-
-# --------------------------------------------------------------------- #
-# YCSB generator
-# --------------------------------------------------------------------- #
-
-
-def test_ycsb_zipfian_hot_keys_dominate():
-    generator = YcsbGenerator(record_count=1000, seed=3)
-    trace = generator.generate(3000)
-    counts = {}
-    for r in trace:
-        counts[r.offset_bytes] = counts.get(r.offset_bytes, 0) + 1
-    top = max(counts.values())
-    assert top > 3000 / 1000 * 10  # hottest record far above uniform
-
-
-def test_ycsb_latest_mode_reads_recent_inserts():
-    generator = YcsbGenerator(
-        record_count=1000,
-        read_fraction=0.5,
-        distribution=KeyDistribution.LATEST,
-        seed=3,
-    )
-    trace = generator.generate(2000)
-    writes = sum(1 for r in trace if not r.is_read)
-    assert writes > 0
-    assert generator._insert_frontier == 1000 + writes
-
-
-def test_ycsb_offsets_are_record_aligned():
-    generator = YcsbGenerator(record_count=100, record_size_bytes=16384, seed=1)
-    trace = generator.generate(500)
-    assert all(r.offset_bytes % 16384 == 0 for r in trace)
-    assert all(r.size_bytes == 16384 for r in trace)
-
-
-def test_ycsb_read_fraction_respected():
-    generator = YcsbGenerator(record_count=500, read_fraction=0.95, seed=2)
-    trace = generator.generate(4000)
-    assert trace.read_fraction == pytest.approx(0.95, abs=0.02)
-
-
-def test_ycsb_validation():
-    with pytest.raises(WorkloadError):
-        YcsbGenerator(record_count=0)
-    with pytest.raises(WorkloadError):
-        YcsbGenerator(record_count=10, read_fraction=1.5)
-    with pytest.raises(WorkloadError):
-        YcsbGenerator(record_count=10).generate(0)

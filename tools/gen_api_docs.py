@@ -43,7 +43,6 @@ PAGES: Dict[str, List[str]] = {
         "repro.workloads.synthetic",
         "repro.workloads.catalog",
         "repro.workloads.mixes",
-        "repro.workloads.ycsb",
         "repro.workloads.replay",
         "repro.workloads.formats",
         "repro.workloads.formats.base",
