@@ -79,7 +79,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.config.presets import PRESET_NAMES, canonical_preset_name
+from repro.config.presets import PRESET_NAMES
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
@@ -87,17 +87,14 @@ from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.reporting import format_table, speedup_table
 from repro.experiments.runner import run_suite
 from repro.experiments.spec import (
-    SPEC_CLAUSES,
     TRACE_WORKLOAD_PREFIX,
     ExperimentScale,
     make_spec,
 )
 from repro.experiments.store import ResultStore
-from repro.fleet.member import canonical_burst
-from repro.fleet.placement import canonical_placement
 from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
-from repro.workloads.catalog import spec_by_name, workload_names
+from repro.workloads.catalog import workload_names
 from repro.workloads.mixes import mix_names
 
 
@@ -771,69 +768,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_workload(name: str) -> None:
-    """A plain workload name must name a Table 2 trace, a Table 3 mix, or
-    a file under ``VENICE_TRACE_DIR``; a ``trace:`` path is checked when
-    its spec is built."""
-    if not (
-        name.startswith(TRACE_WORKLOAD_PREFIX)
-        or name in mix_names()
-        or trace_formats.resolve_trace_path(name) is not None
-    ):
-        spec_by_name(name)
-
-
-def _check_flags(args: argparse.Namespace) -> None:
-    """Check every name- or grammar-valued flag a command has.
-
-    Each goes through the check its spec field or policy applies later,
-    so a bad value exits 2 before :func:`_orchestration` makes a store or
-    queue directory.  A list flag checks each of its values.
-    """
-    checks = {
-        "preset": canonical_preset_name,
-        "workload": _check_workload,
-        "warmup": SPEC_CLAUSES["warmup"],
-        "early_stop": SPEC_CLAUSES["early_stop"],
-        "faults": SPEC_CLAUSES["faults"],
-        "qos": SPEC_CLAUSES["qos"],
-        "policies": SPEC_CLAUSES["qos"],
-        "placement": canonical_placement,
-        "placements": canonical_placement,
-        "burst": lambda text: canonical_burst(text, args.tenants),
-    }
-    for flag, check in checks.items():
-        value = getattr(args, flag, None)
-        for item in value if isinstance(value, list) else [value]:
-            if item:
-                check(item)
-
-
 def _orchestration(args: argparse.Namespace):
     """Resolve the (executor, store) pair the commands share.
 
-    Every run and sweep command makes its store or queue directory here,
-    after checking its flags (:func:`_check_flags`, then ``--jobs`` and
-    ``--timeout``).  ``--queue DIR`` routes the batch through a
-    crash-safe work queue (enqueue-and-wait, participating as a worker);
-    the queue binds the result store, so ``--cache`` names the same store
-    every external worker writes into.  Without it, ``--jobs``/
-    ``--timeout`` configure the in-process
-    :class:`~repro.experiments.executor.Executor`.
+    Opening a store or queue writes nothing -- each appears with its first
+    entry or task -- so a request the library rejects leaves no directory.
+    ``--queue DIR`` routes the batch through a crash-safe work queue
+    (enqueue-and-wait, participating as a worker); the queue binds the
+    result store, so ``--cache`` names the same store every external
+    worker writes into.  Without it, ``--jobs``/``--timeout`` configure
+    the in-process :class:`~repro.experiments.executor.Executor`.
     """
-    _check_flags(args)
     executor = Executor(
         getattr(args, "jobs", 1), getattr(args, "timeout", None)
     )
     cache = getattr(args, "cache", None)
     queue_dir = getattr(args, "queue", None)
     if not queue_dir:
-        try:
-            return executor, ResultStore(cache) if cache else None
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot use {cache!r} as a cache directory: {error}"
-            )
+        return executor, ResultStore(cache) if cache else None
     from repro.experiments.queue import WorkQueue
     from repro.experiments.worker import QueueExecutor
 
@@ -979,14 +931,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 "--trace and --workloads are mutually exclusive"
             )
         requested = [TRACE_WORKLOAD_PREFIX + path for path in args.trace]
-    # run_figure checks the names too; checking first means a bad name
-    # creates no store or queue directory.
-    workloads = figures.validate_figure_workloads(args.name, requested)
     executor, store = _orchestration(args)
     result = figures.run_figure(
         args.name,
         scale,
-        workloads,
+        requested,
         executor=executor,
         store=store,
         faults=args.faults,
@@ -1002,9 +951,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     scale = ExperimentScale.for_requests(args.requests, args.seed)
-    # As in `figure`: checking the names first means a bad name creates no
-    # store or queue directory.
-    figures.validate_matrix_names(args.figures, args.workloads, args.mixes)
     executor, store = _orchestration(args)
     results = figures.run_all_figures(
         scale,
@@ -1397,7 +1343,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         devices=count,
         placement=args.placement,
         tenants=args.tenants,
-        sample=min(args.sample, count) if args.sample > 0 else 0,
+        sample=min(args.sample, count),
         qos=args.qos,
         burst=args.burst,
         faults=_parse_member_faults(args.member_faults, count),
@@ -1512,7 +1458,7 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         device_counts=args.devices or DEFAULT_DEVICE_COUNTS,
         placements=args.placements or DEFAULT_PLACEMENTS,
         tenants=args.tenants,
-        sample=max(0, args.sample),
+        sample=args.sample,
         qos=args.qos,
         burst=args.burst,
         executor=executor,
@@ -1706,17 +1652,14 @@ def _join_queue(directory):
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.experiments.worker import QueueWorker
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise ConfigurationError(
-            f"--timeout must be > 0, got {args.timeout}"
-        )
-    queue = _join_queue(args.queue)
+    # The executor checks --timeout before the queue is joined.
+    timeout = Executor(timeout=args.timeout).timeout
     stats = QueueWorker(
-        queue,
+        _join_queue(args.queue),
         owner=args.owner,
         max_tasks=args.max_tasks,
         idle_exit=args.idle_exit,
-        timeout=args.timeout,
+        timeout=timeout,
     ).run()
     return _emit_payload(stats, args.json, f"worker on {args.queue}")
 
@@ -1745,12 +1688,6 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, SimulationService
 
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise ConfigurationError(
-            f"--timeout must be > 0, got {args.timeout}"
-        )
     service = SimulationService(
         ServiceConfig(
             state_dir=args.state,

@@ -1,7 +1,7 @@
 """Flash controller layer: transactions and their service pipeline.
 
 The flash controller (paper §2.2) sits between the FTL and the flash chips:
-it issues commands over the communication fabric, runs the ECC/randomizer
+it issues commands over the communication fabric, runs the ECC
 pipeline, and serialises die occupancy.  The transaction service processes
 here are fabric-agnostic -- the same pipeline drives all six designs.
 """
@@ -13,7 +13,6 @@ from repro.controller.transaction import (
 )
 from repro.controller.pipeline import TransactionPipeline
 from repro.controller.ecc import EccEngine
-from repro.controller.randomizer import DataRandomizer
 
 __all__ = [
     "FlashTransaction",
@@ -21,5 +20,4 @@ __all__ = [
     "TransactionSource",
     "TransactionPipeline",
     "EccEngine",
-    "DataRandomizer",
 ]

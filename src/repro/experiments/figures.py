@@ -635,25 +635,6 @@ def validate_figure_workloads(
     return list(workloads)
 
 
-def validate_matrix_names(
-    figures: Optional[Sequence[str]] = None,
-    workloads: Optional[Sequence[str]] = None,
-    mixes: Optional[Sequence[str]] = None,
-) -> Dict[str, Optional[Sequence[str]]]:
-    """Check a matrix request: ``{figure: the names it takes}``.
-
-    ``figures`` defaults to every figure; each one takes ``workloads`` or
-    ``mixes`` by its kind (``None`` for an analytic figure), checked by
-    :func:`validate_figure_workloads`.
-    """
-    chosen: Dict[str, Optional[Sequence[str]]] = {}
-    for name in tuple(figures) if figures is not None else FIGURE_NAMES:
-        kind = _figure(name).workload_kind
-        chosen[name] = {"mixes": mixes, "traces": workloads}.get(kind)
-        validate_figure_workloads(name, chosen[name])
-    return chosen
-
-
 def run_figure(
     name: str,
     scale: ExperimentScale = ExperimentScale(),
@@ -669,22 +650,11 @@ def run_figure(
 
     ``workloads`` are the figure's names -- Table 2 traces, or Table 3
     mixes for fig12 -- checked by :func:`validate_figure_workloads`
-    (``None`` = the figure's default set).  The figure then runs through
-    :func:`run_all_figures`, so ``faults``, ``warmup``, and ``early_stop``
-    behave exactly as there.
+    (``None`` = the figure's default set).  ``faults``, ``warmup``, and
+    ``early_stop`` behave exactly as in :func:`run_all_figures`.
     """
-    validate_figure_workloads(name, workloads)
-    # run_all_figures reads whichever list this figure's kind takes.
-    return run_all_figures(
-        scale,
-        workloads=workloads,
-        mixes=workloads,
-        figures=(name,),
-        executor=executor,
-        store=store,
-        faults=faults,
-        warmup=warmup,
-        early_stop=early_stop,
+    return _run_figures(
+        scale, {name: workloads}, executor, store, faults, warmup, early_stop
     )[name]
 
 
@@ -704,8 +674,10 @@ def run_all_figures(
 
     All figures' spec sets are unioned and executed together -- through the
     parallel executor when one is supplied -- then each figure is reduced
-    from the shared results.  ``workloads`` overrides the Table 2 trace set
-    of the trace figures; ``mixes`` overrides fig12's mix list.
+    from the shared results.  ``figures`` defaults to every figure;
+    ``workloads`` overrides the Table 2 trace set of the trace figures and
+    ``mixes`` fig12's mix list, each checked by
+    :func:`validate_figure_workloads` before anything simulates.
 
     ``faults`` applies one fault schedule (grammar string, see
     docs/faults.md) to every cell, regenerating the figures on a degraded
@@ -716,11 +688,31 @@ def run_all_figures(
     twins every cell under a distinct digest, so the modified and the exact
     figures coexist in one store.
     """
+    chosen = {
+        name: {"mixes": mixes, "traces": workloads}.get(
+            _figure(name).workload_kind
+        )
+        for name in (FIGURE_NAMES if figures is None else figures)
+    }
+    return _run_figures(
+        scale, chosen, executor, store, faults, warmup, early_stop
+    )
+
+
+def _run_figures(
+    scale: ExperimentScale,
+    chosen: Mapping[str, Optional[Sequence[str]]],
+    executor,
+    store,
+    faults: Optional[str],
+    warmup: Optional[str],
+    early_stop: Optional[str],
+) -> Dict[str, Dict[str, object]]:
+    """Run the figures ``chosen`` maps to their names in one shared pass."""
+    for name, names in chosen.items():
+        validate_figure_workloads(name, names)
     plans: Dict[str, Plan] = {
-        name: FIGURES[name].plan(scale, chosen)
-        for name, chosen in validate_matrix_names(
-            figures, workloads, mixes
-        ).items()
+        name: FIGURES[name].plan(scale, names) for name, names in chosen.items()
     }
     all_specs = [spec for specs, _ in plans.values() for spec in specs]
     # Canonicalised here too, so a bad clause fails even when no figure

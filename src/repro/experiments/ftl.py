@@ -133,10 +133,13 @@ def wa_op_specs(
 
     The knob rides ``device_kwargs`` so each level is a distinct digest
     (and a distinct checkpoint: more spare area changes what the warm-up
-    itself does to the array).
+    itself does to the array).  Each level is checked against the config
+    while planning, so an out-of-range one fails before any warm-up runs.
     """
+    config = build_config(preset, scale)
     plan: Dict[float, Tuple[RunSpec, ...]] = {}
     for op in dict.fromkeys(float(level) for level in op_levels):
+        config.with_ftl_knobs(over_provisioning=op)
         plan[op] = matrix_specs(
             preset,
             (workload,),

@@ -9,7 +9,7 @@ leaves the queue in a state the next participant repairs.
 Layout under the queue directory::
 
     queue.json            frozen queue config (result store binding, lease
-                          and retry policy), written once at creation
+                          and retry policy), written with the first task
     tasks/<digest>.json   immutable task bodies: the full RunSpec payload
     claims/<digest>.json  one per leased task: owner id, attempt number,
                           lease length, expiry -- created with O_EXCL so
@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import QueueError
 from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
-from repro.fileio import atomic_write_text
+from repro.fileio import atomic_write_text, check_directory_path
 
 _CONFIG_FILENAME = "queue.json"
 _CONFIG_SCHEMA = 1
@@ -94,9 +94,12 @@ class WorkQueue:
     One process (the sweep front end) enqueues specs; any number of worker
     processes claim, heartbeat, and execute them through the ordinary
     executor/store stack.  The queue's result-store binding and
-    lease/retry policy are frozen into ``queue.json`` at creation so every
-    participant -- including workers started later on other hosts -- agrees
-    on where results go and when a silent worker is declared dead.
+    lease/retry policy are frozen into ``queue.json`` with its first task
+    so every participant -- including workers started later on other
+    hosts -- agrees on where results go and when a silent worker is
+    declared dead.  Opening a queue writes nothing: its directories appear
+    with that first task, so a sweep that fails its checks leaves no queue
+    behind.
     """
 
     def __init__(
@@ -110,44 +113,18 @@ class WorkQueue:
         retry_backoff: float = 2.0,
     ) -> None:
         self.directory = Path(directory)
+        check_directory_path(self.directory, "a queue directory")
         self.tasks_dir = self.directory / "tasks"
         self.claims_dir = self.directory / "claims"
         self.retry_dir = self.directory / "retry"
         self.done_dir = self.directory / "done"
         self.dead_dir = self.directory / "dead"
         self.reclaim_dir = self.directory / "reclaim"
-        for sub in (
-            self.tasks_dir,
-            self.claims_dir,
-            self.retry_dir,
-            self.done_dir,
-            self.dead_dir,
-            self.reclaim_dir,
-        ):
-            sub.mkdir(parents=True, exist_ok=True)
-        config_path = self.directory / _CONFIG_FILENAME
-        existing = _read_json(config_path)
+        self._config_path = self.directory / _CONFIG_FILENAME
+        self._frozen = False
+        existing = _read_json(self._config_path)
         if existing is not None:
-            if existing.get("schema") != _CONFIG_SCHEMA:
-                raise QueueError(
-                    f"queue {self.directory} has config schema "
-                    f"{existing.get('schema')!r}; this version speaks "
-                    f"{_CONFIG_SCHEMA}"
-                )
-            # A queue.json from an earlier version also names the store's
-            # layout; only the flat layout remains, so that field is ignored.
-            self.store_dir = Path(existing["store_dir"])
-            self.lease_seconds = float(existing["lease_seconds"])
-            self.max_attempts = int(existing["max_attempts"])
-            self.retry_delay = float(existing["retry_delay"])
-            self.retry_backoff = float(existing["retry_backoff"])
-            if store_dir is not None and Path(store_dir).resolve() != (
-                self.store_dir.resolve()
-            ):
-                raise QueueError(
-                    f"queue {self.directory} is bound to store "
-                    f"{self.store_dir}; refusing to target {store_dir}"
-                )
+            self._adopt(existing, store_dir)
         else:
             if lease_seconds <= 0:
                 raise QueueError(
@@ -167,8 +144,54 @@ class WorkQueue:
             self.max_attempts = int(max_attempts)
             self.retry_delay = float(retry_delay)
             self.retry_backoff = float(retry_backoff)
+
+    def _adopt(
+        self, config: dict, store_dir: Optional[Union[str, Path]]
+    ) -> None:
+        """Take the policy and store binding frozen in ``queue.json``."""
+        if config.get("schema") != _CONFIG_SCHEMA:
+            raise QueueError(
+                f"queue {self.directory} has config schema "
+                f"{config.get('schema')!r}; this version speaks "
+                f"{_CONFIG_SCHEMA}"
+            )
+        # A queue.json from an earlier version also names the store's
+        # layout; only the flat layout remains, so that field is ignored.
+        self.store_dir = Path(config["store_dir"])
+        self.lease_seconds = float(config["lease_seconds"])
+        self.max_attempts = int(config["max_attempts"])
+        self.retry_delay = float(config["retry_delay"])
+        self.retry_backoff = float(config["retry_backoff"])
+        if store_dir is not None and Path(store_dir).resolve() != (
+            self.store_dir.resolve()
+        ):
+            raise QueueError(
+                f"queue {self.directory} is bound to store "
+                f"{self.store_dir}; refusing to target {store_dir}"
+            )
+        self._frozen = True
+
+    def _freeze(self) -> None:
+        """Make the queue's directories and write ``queue.json`` (once).
+
+        A participant that froze the queue since this one opened it wins:
+        its policy is adopted, and a different store binding refused.
+        """
+        for sub in (
+            self.tasks_dir,
+            self.claims_dir,
+            self.retry_dir,
+            self.done_dir,
+            self.dead_dir,
+            self.reclaim_dir,
+        ):
+            sub.mkdir(parents=True, exist_ok=True)
+        existing = _read_json(self._config_path)
+        if existing is not None:
+            self._adopt(existing, self.store_dir)
+        else:
             _atomic_write_json(
-                config_path,
+                self._config_path,
                 {
                     "schema": _CONFIG_SCHEMA,
                     "store_dir": str(self.store_dir),
@@ -178,6 +201,7 @@ class WorkQueue:
                     "retry_backoff": self.retry_backoff,
                 },
             )
+        self._frozen = True
 
     # -- paths ----------------------------------------------------------- #
 
@@ -208,8 +232,10 @@ class WorkQueue:
         A spec whose task file already exists (from this invocation or a
         previous crashed one) is left untouched -- the digest *is* the
         task identity, which is what makes re-running an interrupted sweep
-        free of duplicated work.
+        free of duplicated work.  The first task creates the queue.
         """
+        if not self._frozen:
+            self._freeze()
         digest = spec.digest
         path = self._task_path(digest)
         if path.exists():

@@ -38,7 +38,7 @@ from repro.sim.faults import FaultSchedule
 from repro.sim.stats import exact_stats_default
 from repro.ssd.device import SsdDevice
 from repro.ssd.factory import supports_geometry
-from repro.workloads.catalog import generate_workload
+from repro.workloads.catalog import generate_workload, spec_by_name
 from repro.workloads.formats import resolve_trace_path, trace_digest, trace_stem
 from repro.workloads.mixes import MIX_CATALOG, generate_mix
 from repro.workloads.replay import TraceWorkload
@@ -97,6 +97,12 @@ class ExperimentScale:
     target_pressure: float = 1.6
     mix_target_pressure: float = 1.8
     max_acceleration: float = 256.0
+
+    def __post_init__(self) -> None:
+        if self.requests < 1:
+            raise ConfigurationError(
+                f"requests must be >= 1, got {self.requests}"
+            )
 
     @classmethod
     def benchmark(cls) -> "ExperimentScale":
@@ -704,7 +710,9 @@ def make_spec(
 
     A Table 3 mix name (:func:`repro.workloads.mixes.mix_names`) makes the
     spec a mix: it synthesises the published mix, never resolves a trace
-    file, and cannot be combined with ``trace=``.
+    file, and cannot be combined with ``trace=``.  Any other name must be
+    a Table 2 trace or a file under ``VENICE_TRACE_DIR``; an unknown name
+    raises :class:`~repro.errors.WorkloadError` here, before anything runs.
 
     ``trace_options`` forwards replay knobs (``time_scale``,
     ``lba_policy``) to :class:`~repro.workloads.replay.TraceWorkload`; they
@@ -752,7 +760,9 @@ def make_spec(
         workload = trace_stem(resolved)
     elif not mix:
         found = resolve_trace_path(workload)
-        if found is not None:
+        if found is None:
+            spec_by_name(workload)  # synthesised, so it must be a Table 2 trace
+        else:
             trace_path = str(found)
             content_digest = trace_digest(found)
     return RunSpec(

@@ -19,9 +19,11 @@ checkpoints whose content no longer matches their digest key are
 *quarantined* (moved to ``quarantine/``, never served) instead of
 poisoning every later sweep.
 
-A directory written by one of the retired layouts (sharded ``objects/``
-or SQLite ``store.sqlite3``) is refused with a
-:class:`~repro.errors.ConfigurationError` instead of being read as empty.
+Opening a store writes nothing: its directory appears with its first
+entry or checkpoint, so a sweep that fails its checks leaves no trace.  A
+directory written by one of the retired layouts (sharded ``objects/`` or
+SQLite ``store.sqlite3``), or a path that is a regular file, is refused at
+open with a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.spec import RunSpec
-from repro.fileio import atomic_write_text
+from repro.fileio import atomic_write_text, check_directory_path
 from repro.metrics.collector import RunResult
 
 _SCHEMA_VERSION = 1
@@ -58,6 +60,7 @@ class ResultStore:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
+        check_directory_path(self.directory, "a cache directory")
         for marker, layout in _RETIRED_LAYOUTS:
             if (self.directory / marker).exists():
                 raise ConfigurationError(
@@ -65,7 +68,6 @@ class ResultStore:
                     f"retired {layout} layout; its entries are a cache, so "
                     "re-run into a fresh directory"
                 )
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -85,6 +87,15 @@ class ResultStore:
 
     def _quarantined_paths(self) -> List[Path]:
         return sorted((self.directory / _QUARANTINE_DIRNAME).glob("*.json"))
+
+    @staticmethod
+    def _publish(path: Path, text: str) -> None:
+        """Write one file, making its directories on the store's first write."""
+        try:
+            atomic_write_text(path, text)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(path, text)
 
     @staticmethod
     def _read(path: Path) -> Optional[str]:
@@ -177,7 +188,7 @@ class ResultStore:
 
     def put(self, spec: RunSpec, result: RunResult) -> Path:
         path = self.path_for(spec)
-        atomic_write_text(path, self._encode(spec, result))
+        self._publish(path, self._encode(spec, result))
         self._memory[spec.digest] = result
         self.writes += 1
         return path
@@ -193,9 +204,10 @@ class ResultStore:
 
     def put_checkpoint(self, digest: str, state: dict) -> None:
         """Store a warm-up snapshot under its checkpoint digest."""
-        path = self._checkpoint_path(digest)
-        path.parent.mkdir(exist_ok=True)
-        atomic_write_text(path, json.dumps({"digest": digest, "state": state}))
+        self._publish(
+            self._checkpoint_path(digest),
+            json.dumps({"digest": digest, "state": state}),
+        )
 
     def __contains__(self, spec: RunSpec) -> bool:
         return spec.digest in self._memory or self.path_for(spec).exists()

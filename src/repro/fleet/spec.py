@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config.ssd_config import DesignKind
@@ -62,45 +63,52 @@ class FleetSpec:
     """One fully-specified fleet run, by value.
 
     ``members`` are the per-device :class:`~repro.experiments.spec.RunSpec`\\ s
-    in device order (mixed designs/presets allowed); ``placement`` and
-    ``tenants`` are recorded redundantly for inspection -- they are already
-    folded into every member's descriptor, hence into every member digest.
-    Use :func:`make_fleet_spec` rather than the constructor: it builds
-    consistent member descriptors and validates the shape.
+    in device order (mixed designs/presets allowed).  Each member carries
+    the fleet's shape in its descriptor and the dispatcher QoS policy in
+    its ``qos`` field, so :attr:`placement`, :attr:`tenants`,
+    :attr:`burst` and :attr:`qos` are read off the first member rather
+    than stored twice.  Use :func:`make_fleet_spec` rather than the
+    constructor: it builds consistent member descriptors and validates
+    the shape.
     """
 
     members: Tuple[RunSpec, ...]
-    placement: str
-    tenants: int
     #: Simulate only this many stratified representative members (0 = all).
     sample: int = 0
-    #: Dispatcher QoS policy (canonical; empty = arrival-order dispatch).
-    #: Recorded redundantly like ``placement``: it already rides every
-    #: member spec's ``qos`` field, hence every member digest.
-    qos: str = ""
-    #: Adversarial burst clause (canonical ``<tenant>x<factor>``; empty =
-    #: fair share).  Already folded into every member descriptor.
-    burst: str = ""
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ConfigurationError("a fleet needs at least one member")
-        object.__setattr__(
-            self, "placement", canonical_placement(self.placement)
-        )
-        if self.tenants < 1:
-            raise ConfigurationError(
-                f"a fleet needs >= 1 tenant, got {self.tenants}"
-            )
         if self.sample < 0 or self.sample > len(self.members):
             raise ConfigurationError(
                 f"sample must be in [0, {len(self.members)}], "
                 f"got {self.sample}"
             )
-        object.__setattr__(self, "qos", canonical_qos(self.qos))
-        object.__setattr__(
-            self, "burst", canonical_burst(self.burst, self.tenants)
-        )
+
+    @cached_property
+    def _descriptor(self) -> FleetMember:
+        """The first member's descriptor; every member shares its shape."""
+        return FleetMember.parse(self.members[0].fleet)
+
+    @property
+    def placement(self) -> str:
+        """Canonical placement policy of the dispatcher."""
+        return self._descriptor.placement
+
+    @property
+    def tenants(self) -> int:
+        """Number of tenant streams fanned out over the fleet."""
+        return self._descriptor.tenants
+
+    @property
+    def burst(self) -> str:
+        """Canonical adversarial burst clause (empty = fair share)."""
+        return self._descriptor.burst
+
+    @property
+    def qos(self) -> str:
+        """Canonical dispatcher QoS policy (empty = arrival order)."""
+        return self.members[0].qos
 
     @property
     def devices(self) -> int:
@@ -272,11 +280,4 @@ def make_fleet_spec(
         )
         for index, design in enumerate(member_designs)
     )
-    return FleetSpec(
-        members=members,
-        placement=placement,
-        tenants=tenants,
-        sample=int(sample),
-        qos=qos,
-        burst=burst,
-    )
+    return FleetSpec(members=members, sample=int(sample))

@@ -256,18 +256,12 @@ def _fleet_job(
         if knobs["faults"]
         else None,
     )
+    # The members carry the placement, tenants, QoS policy and burst.
     canonical: Dict[str, object] = {
         "kind": "fleet",
         "members": [member.to_dict() for member in fleet.members],
-        "placement": fleet.placement,
-        "tenants": fleet.tenants,
         "sample": fleet.sample,
     }
-    if fleet.qos:
-        # Keys omitted when unset so pre-QoS job records are unchanged.
-        canonical["qos"] = fleet.qos
-    if fleet.burst:
-        canonical["burst"] = fleet.burst
     return Job(
         job_id=fleet.digest,
         kind="fleet",
@@ -284,7 +278,9 @@ def job_from_record(job_id: str, canonical: Mapping[str, object]) -> Job:
     This is what a restarted daemon executes re-adopted jobs from: the
     specs come back exactly as accepted (``RunSpec.from_dict`` is the
     lossless inverse of ``to_dict``), so adoption can never change what a
-    job simulates.
+    job simulates.  A fleet record may also hold the placement, tenants,
+    QoS policy and burst clause its members carry; older versions wrote
+    those copies, and they are ignored.
     """
     kind = str(canonical["kind"])
     if kind == "fleet":
@@ -292,12 +288,7 @@ def job_from_record(job_id: str, canonical: Mapping[str, object]) -> Job:
             members=tuple(
                 RunSpec.from_dict(member) for member in canonical["members"]
             ),
-            placement=str(canonical["placement"]),
-            tenants=int(canonical["tenants"]),
             sample=int(canonical["sample"]),
-            # .get: records persisted before QoS existed have no such keys.
-            qos=str(canonical.get("qos") or ""),
-            burst=str(canonical.get("burst") or ""),
         )
         return Job(
             job_id=job_id,

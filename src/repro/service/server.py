@@ -40,7 +40,7 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.store import ResultStore
 from repro.fileio import atomic_write_text
@@ -59,8 +59,11 @@ class ServiceConfig:
     """Everything ``venice-sim serve`` resolves from its flags.
 
     ``port=0`` binds an OS-assigned ephemeral port (read it back from
-    ``service.json`` or :attr:`SimulationService.port`).  ``timeout`` is
-    the per-spec execution timeout in seconds, ``None`` for no limit.
+    ``service.json`` or :attr:`SimulationService.port`).  ``jobs`` is the
+    number of worker threads (>= 1) and ``timeout`` the per-spec execution
+    timeout in seconds (> 0), ``None`` for no limit; either out of range
+    raises :class:`~repro.errors.ConfigurationError` before anything is
+    created.
     """
 
     state_dir: Path
@@ -69,6 +72,14 @@ class ServiceConfig:
     jobs: int = 2
     timeout: Optional[float] = None
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {self.jobs}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigurationError(
+                f"--timeout must be > 0, got {self.timeout}"
+            )
 
 
 class _Server(ThreadingHTTPServer):
@@ -102,7 +113,7 @@ class SimulationService:
         self.job_store = JobStore(self.state_dir / "service.sqlite3")
         self.store_dir = self.state_dir / "store"
         # Open the store at boot, so a retired store layout fails here
-        # rather than in every job.
+        # rather than in every job (it is created by the first result).
         ResultStore(self.store_dir)
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._workers: Tuple[threading.Thread, ...] = ()
@@ -139,7 +150,7 @@ class SimulationService:
                 target=self._worker, name=f"venice-sim-worker-{index}",
                 daemon=True,
             )
-            for index in range(max(1, self.config.jobs))
+            for index in range(self.config.jobs)
         )
         for worker in self._workers:
             worker.start()

@@ -22,7 +22,6 @@ from repro.sim.stats import (
     HISTOGRAM_RELATIVE_ERROR,
     RunningStat,
     LatencyRecorder,
-    UtilizationTracker,
     exact_stats_default,
     percentile,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "HISTOGRAM_RELATIVE_ERROR",
     "RunningStat",
     "LatencyRecorder",
-    "UtilizationTracker",
     "exact_stats_default",
     "percentile",
 ]

@@ -33,7 +33,6 @@ checkpointed run bit-identical to a cold run of the same spec.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -44,11 +43,10 @@ from repro.errors import (
     SimulationError,
 )
 from repro.nand.chip import PageState
+from repro.sim.clauses import parse_clauses
 
 #: Snapshot payload format version; bumped on incompatible layout changes.
 CHECKPOINT_VERSION = 1
-
-_CLAUSE_RE = re.compile(r"^\s*(fill|churn|steps)\s+([0-9.eE+-]+)\s*$")
 
 
 @dataclass(frozen=True)
@@ -107,24 +105,9 @@ class WarmupPhase:
     @classmethod
     def parse(cls, spec: str) -> "WarmupPhase":
         """Parse ``"fill F; churn C; steps N"`` (any clause may be omitted)."""
-        values: Dict[str, float] = {}
-        for clause in str(spec).split(";"):
-            if not clause.strip():
-                continue
-            match = _CLAUSE_RE.match(clause)
-            if match is None:
-                raise ConfigurationError(
-                    f"unrecognised warm-up clause: {clause.strip()!r}"
-                )
-            key, raw = match.group(1), match.group(2)
-            if key in values:
-                raise ConfigurationError(f"duplicate warm-up clause: {key!r}")
-            try:
-                values[key] = int(raw) if key == "steps" else float(raw)
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"bad warm-up value for {key!r}: {raw!r}"
-                ) from error
+        values = parse_clauses(
+            spec, "warm-up", {"fill": float, "churn": float, "steps": int}
+        )
         return cls(
             fill=values.get("fill", 0.0),
             churn=values.get("churn", 0.0),

@@ -31,21 +31,17 @@ simulated prefix unscaled.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.clauses import parse_clauses
 from repro.sim.stats import LatencyRecorder
 
 DEFAULT_WINDOW = 100
 DEFAULT_TOLERANCE = 0.01
 DEFAULT_PATIENCE = 2
 DEFAULT_MIN_REQUESTS = 200
-
-_CLAUSE_RE = re.compile(
-    r"^\s*(window|tolerance|patience|min)\s+([0-9.eE+-]+)\s*$"
-)
 
 
 @dataclass(frozen=True)
@@ -83,26 +79,11 @@ class EarlyStopPolicy:
     @classmethod
     def parse(cls, spec: str) -> "EarlyStopPolicy":
         """Parse ``"window W; tolerance T; patience P; min M"`` (any subset)."""
-        values = {}
-        for clause in str(spec).split(";"):
-            if not clause.strip():
-                continue
-            match = _CLAUSE_RE.match(clause)
-            if match is None:
-                raise ConfigurationError(
-                    f"unrecognised early-stop clause: {clause.strip()!r}"
-                )
-            key, raw = match.group(1), match.group(2)
-            if key in values:
-                raise ConfigurationError(
-                    f"duplicate early-stop clause: {key!r}"
-                )
-            try:
-                values[key] = float(raw) if key == "tolerance" else int(raw)
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"bad early-stop value for {key!r}: {raw!r}"
-                ) from error
+        values = parse_clauses(
+            spec,
+            "early-stop",
+            {"window": int, "tolerance": float, "patience": int, "min": int},
+        )
         return cls(
             window=values.get("window", DEFAULT_WINDOW),
             tolerance=values.get("tolerance", DEFAULT_TOLERANCE),

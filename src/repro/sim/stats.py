@@ -11,8 +11,7 @@ Small, dependency-light accumulators:
   :data:`HISTOGRAM_RELATIVE_ERROR` (1%).  ``exact=True`` retains every raw
   sample and reproduces the historical bit-exact percentiles -- the mode
   equivalence tests and the ``VENICE_EXACT_STATS=1`` environment switch
-  rely on it,
-* :class:`UtilizationTracker` -- time-weighted busy fraction of a component.
+  rely on it.
 """
 
 from __future__ import annotations
@@ -371,33 +370,3 @@ class LatencyRecorder:
                     (values[lower] * (1.0 - weight) + values[upper] * weight, fraction)
                 )
         return out
-
-
-class UtilizationTracker:
-    """Time-weighted busy accounting for a component with on/off phases."""
-
-    def __init__(self) -> None:
-        self._busy_since: Dict[str, int] = {}
-        self.busy_time: Dict[str, int] = {}
-
-    def mark_busy(self, key: str, now: int) -> None:
-        """Open a busy interval for ``key`` (idempotent while open)."""
-        if key not in self._busy_since:
-            self._busy_since[key] = now
-
-    def mark_idle(self, key: str, now: int) -> None:
-        """Close ``key``'s open busy interval and accumulate its duration."""
-        started = self._busy_since.pop(key, None)
-        if started is not None:
-            self.busy_time[key] = self.busy_time.get(key, 0) + (now - started)
-
-    def busy_fraction(self, key: str, horizon: int) -> float:
-        """Fraction of ``[0, horizon]`` that ``key`` spent busy (closed
-        intervals only), clamped to 1.0."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time.get(key, 0) / horizon)
-
-    def total_busy(self) -> int:
-        """Sum of closed busy time across all tracked keys."""
-        return sum(self.busy_time.values())

@@ -1,9 +1,8 @@
-"""ECC engine and data randomizer tests."""
+"""ECC engine tests."""
 
 import pytest
 
 from repro.controller.ecc import EccEngine
-from repro.controller.randomizer import DataRandomizer
 from repro.errors import ConfigurationError
 
 
@@ -45,43 +44,6 @@ def test_ecc_validation():
         EccEngine(-1)
     with pytest.raises(ConfigurationError):
         EccEngine(10, decode_failure_rate=1.5)
-
-
-def test_randomizer_round_trip():
-    randomizer = DataRandomizer()
-    data = bytes(range(256))
-    scrambled = randomizer.scramble(data, page_flat_index=12345)
-    assert scrambled != data
-    assert randomizer.descramble(scrambled, page_flat_index=12345) == data
-
-
-def test_randomizer_different_pages_different_patterns():
-    randomizer = DataRandomizer()
-    data = b"\x00" * 64
-    a = randomizer.scramble(data, page_flat_index=1)
-    b = randomizer.scramble(data, page_flat_index=2)
-    assert a != b
-
-
-def test_randomizer_breaks_worst_case_patterns():
-    randomizer = DataRandomizer()
-    # All-zero data (a worst-case cell pattern) becomes mixed bits.
-    scrambled = randomizer.scramble(b"\x00" * 128, page_flat_index=9)
-    ones = sum(bin(byte).count("1") for byte in scrambled)
-    assert 0.25 < ones / (128 * 8) < 0.75
-
-
-def test_randomizer_counters():
-    randomizer = DataRandomizer()
-    randomizer.scramble(b"ab", 0)
-    randomizer.descramble(b"ab", 0)
-    assert randomizer.scrambles == 1
-    assert randomizer.descrambles == 1
-
-
-def test_randomizer_rejects_zero_seed():
-    with pytest.raises(ConfigurationError):
-        DataRandomizer(base_seed=0)
 
 
 def test_ecc_burst_raises_and_restores_the_failure_rate():

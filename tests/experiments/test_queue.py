@@ -160,6 +160,7 @@ def test_task_dead_letters_after_max_attempts_with_captured_errors(tmp_path):
 
 def test_queue_config_is_frozen_at_creation(tmp_path):
     queue = make_queue(tmp_path, lease_seconds=7.0, max_attempts=4)
+    queue.enqueue(SPECS[0])  # the first task writes queue.json
     # Later participants pick the frozen policy up from queue.json alone.
     reopened = WorkQueue(queue.directory)
     assert reopened.lease_seconds == 7.0
@@ -170,6 +171,7 @@ def test_queue_config_is_frozen_at_creation(tmp_path):
 
 def test_queue_ignores_the_store_layout_an_older_queue_json_names(tmp_path):
     queue = make_queue(tmp_path)
+    queue.enqueue(SPECS[0])
     config_path = queue.directory / "queue.json"
     config = json.loads(config_path.read_text())
     config["store_backend"] = "sqlite"
@@ -183,8 +185,34 @@ def test_queue_ignores_the_store_layout_an_older_queue_json_names(tmp_path):
 
 def test_queue_refuses_a_conflicting_store_binding(tmp_path):
     queue = make_queue(tmp_path)
+    queue.enqueue(SPECS[0])
     with pytest.raises(QueueError, match="bound to store"):
         WorkQueue(queue.directory, store_dir=tmp_path / "elsewhere")
+
+
+def test_a_queue_appears_with_its_first_task(tmp_path):
+    queue = make_queue(tmp_path, lease_seconds=7.0)
+    later = make_queue(tmp_path, lease_seconds=9.0)
+    elsewhere = make_queue(tmp_path, store_dir=tmp_path / "elsewhere")
+    assert not queue.directory.exists()
+    assert queue.status()["tasks"] == 0
+    assert queue.claim("idle") is None
+    queue.enqueue(SPECS[0])
+    assert json.loads((queue.directory / "queue.json").read_text())[
+        "store_dir"
+    ] == str(queue.store_dir)
+    # Participants opened before the first task take the frozen policy.
+    later.enqueue(SPECS[1])
+    assert later.lease_seconds == 7.0
+    with pytest.raises(QueueError, match="bound to store"):
+        elsewhere.enqueue(SPECS[1])
+    assert queue.status()["tasks"] == 2
+
+
+def test_a_queue_at_a_regular_file_is_refused(tmp_path):
+    (tmp_path / "queue").write_text("")
+    with pytest.raises(ConfigurationError, match="as a queue directory"):
+        make_queue(tmp_path)
 
 
 def test_queue_rejects_nonsense_policy(tmp_path):
@@ -317,6 +345,7 @@ def test_default_owner_ids_are_unique():
 
 def test_queue_rejects_a_foreign_config_schema(tmp_path):
     queue = make_queue(tmp_path)
+    queue.enqueue(SPECS[0])
     config = queue.directory / "queue.json"
     payload = json.loads(config.read_text())
     payload["schema"] = 99

@@ -64,6 +64,28 @@ def test_round_trip_through_fresh_store_instance(tmp_path):
     assert restored.extra == {"fabric_transfers": 120.0, "gc_blocks_reclaimed": 3.0}
 
 
+def test_a_store_directory_appears_with_its_first_write(tmp_path):
+    spec = make_spec("venice", "performance-optimized", "hm_0", SCALE)
+    results = ResultStore(tmp_path / "results" / "nested")
+    checkpoints = ResultStore(tmp_path / "checkpoints")
+    assert results.get(spec) is None
+    assert results.stats()["entries"] == len(results) == 0
+    assert not (tmp_path / "results").exists()
+    results.put(spec, sample_result())
+    checkpoints.put_checkpoint("ab" * 32, {"blocks": []})
+    assert ResultStore(results.directory).get(spec) == sample_result()
+    assert ResultStore(tmp_path / "checkpoints").get_checkpoint(
+        "ab" * 32
+    ) == {"blocks": []}
+
+
+def test_a_store_at_or_under_a_regular_file_is_refused(tmp_path):
+    (tmp_path / "file").write_text("")
+    for path in (tmp_path / "file", tmp_path / "file" / "store"):
+        with pytest.raises(ConfigurationError, match="cache directory"):
+            ResultStore(path)
+
+
 def test_run_result_dict_round_trip_is_lossless():
     original = sample_result()
     rebuilt = RunResult.from_dict(json.loads(json.dumps(original.to_dict())))

@@ -107,7 +107,7 @@ def test_fleet_shape_validation():
         make_fleet_spec("venice", "perf", "hm_0", SCALE, devices=2,
                         faults=["0 link (0,2)-(0,3) down"])  # wrong length
     with pytest.raises(ConfigurationError):
-        FleetSpec(members=(), placement="round-robin", tenants=1)
+        FleetSpec(members=())
 
 
 def test_non_fleet_spec_refuses_fleet_requests():
@@ -117,10 +117,14 @@ def test_non_fleet_spec_refuses_fleet_requests():
 
 
 def test_direct_construction_validates_tenants():
+    # A FleetSpec reads its tenant count off its members' descriptor,
+    # and the descriptor refuses a fleet without tenants.
     members = make_fleet_spec("venice", "perf", "hm_0", SCALE,
-                              devices=1).members
+                              devices=1, tenants=3).members
+    assert FleetSpec(members=members).tenants == 3
     with pytest.raises(ConfigurationError, match="tenant"):
-        FleetSpec(members=members, placement="round-robin", tenants=0)
+        make_spec("venice", "perf", "hm_0", SCALE,
+                  fleet="member 0/1; tenants 0; placement round-robin")
 
 
 def test_mixed_design_fleet_label_lists_every_member():

@@ -157,6 +157,12 @@ def test_malformed_bodies_return_structured_400s(daemon):
     assert status == 400
     assert "warmup" in body["error"]["message"]
 
+    # An unknown workload is refused at submission, named back.
+    status, body = daemon.post_json("/v1/runs", {"workload": "bogus"})
+    assert status == 400
+    assert body["error"]["type"] == "WorkloadError"
+    assert "bogus" in body["error"]["message"]
+
     # Nothing malformed ever created a job.
     _, health = daemon.get("/health")
     assert health["jobs"] == {

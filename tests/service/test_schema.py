@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.service.schema import (
     JOB_KINDS,
     job_from_payload,
@@ -74,7 +74,7 @@ def test_fleet_job_id_is_the_fleet_digest():
     assert job.fleet is not None
     assert job.job_id == job.fleet.digest
     assert len(job.specs) == 3
-    assert job.canonical["tenants"] == 4
+    assert job.fleet.tenants == 4
 
 
 def test_fleet_accepts_explicit_member_designs():
@@ -114,23 +114,43 @@ def test_malformed_payloads_raise_configuration_errors(payload, fragment):
 @pytest.mark.parametrize(
     "payload",
     [
-        {"design": "venice", "workload": "hm_0", "requests": 60},
-        {"kind": "sweep", "designs": ["venice", "baseline"],
-         "workloads": ["hm_0"], "requests": 60},
-        {"kind": "fleet", "design": "venice", "devices": 2, "tenants": 3,
-         "sample": 0, "requests": 60},
+        {"workload": "bogus"},
+        {"kind": "sweep", "workloads": ["hm_0", "bogus"]},
+        {"kind": "fleet", "workload": "bogus"},
     ],
     ids=JOB_KINDS,
 )
-def test_canonical_records_round_trip(payload):
+def test_unknown_workloads_are_rejected_at_submission(payload):
+    with pytest.raises(WorkloadError, match="unknown workload 'bogus'"):
+        job_from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, copies",
+    [
+        ({"design": "venice", "workload": "hm_0", "requests": 60}, {}),
+        ({"kind": "sweep", "designs": ["venice", "baseline"],
+          "workloads": ["hm_0"], "requests": 60}, {}),
+        ({"kind": "fleet", "design": "venice", "devices": 2, "tenants": 3,
+          "sample": 0, "requests": 60}, {}),
+        # Older fleet records also persisted the shape the members carry.
+        ({"kind": "fleet", "design": "venice", "devices": 2, "tenants": 3,
+          "qos": "wfq:1,2,1", "burst": "1x4", "requests": 60},
+         {"placement": "round-robin", "tenants": 3, "qos": "wfq:1,2,1",
+          "burst": "1x4"}),
+    ],
+    ids=[*JOB_KINDS, "fleet-with-copies"],
+)
+def test_canonical_records_round_trip(payload, copies):
     """job_from_record is the lossless inverse -- a restarted daemon
     re-executes exactly what was accepted."""
     job = job_from_payload(payload)
-    rebuilt = job_from_record(job.job_id, job.canonical)
+    record = {**job.canonical, **copies}
+    rebuilt = job_from_record(job.job_id, record)
     assert rebuilt.job_id == job.job_id
     assert rebuilt.kind == job.kind
     assert rebuilt.specs == job.specs
-    assert rebuilt.canonical == job.canonical
+    assert rebuilt.canonical == record
     if job.fleet is not None:
         assert rebuilt.fleet.digest == job.fleet.digest
 

@@ -10,7 +10,7 @@ import socket
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.service import (
     DISCOVERY_FILE,
     ServiceConfig,
@@ -39,6 +39,18 @@ def test_worker_failure_marks_the_job_failed(tmp_path):
     assert record["error"]  # the captured traceback travels with the job
     assert service._session["jobs_failed"] == 1
     assert service._session["jobs_done"] == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"jobs": 0}, "--jobs must be >= 1"), ({"timeout": 0}, "--timeout")],
+)
+def test_config_rejects_an_unusable_pool_before_making_state(
+    tmp_path, overrides, message
+):
+    with pytest.raises(ConfigurationError, match=message):
+        _service(tmp_path, **overrides)
+    assert not (tmp_path / "state").exists()
 
 
 def test_lifecycle_guards_before_start(tmp_path):

@@ -7,7 +7,6 @@ from repro.sim.stats import (
     HISTOGRAM_RELATIVE_ERROR,
     LatencyRecorder,
     RunningStat,
-    UtilizationTracker,
     exact_stats_default,
     percentile,
 )
@@ -158,19 +157,3 @@ def test_exact_stats_env_default(monkeypatch):
     assert LatencyRecorder().exact is True
     monkeypatch.setenv("VENICE_EXACT_STATS", "off")
     assert exact_stats_default() is False
-
-
-def test_utilization_tracker():
-    tracker = UtilizationTracker()
-    tracker.mark_busy("ch0", 0)
-    tracker.mark_idle("ch0", 30)
-    tracker.mark_busy("ch0", 50)
-    tracker.mark_idle("ch0", 60)
-    assert tracker.busy_fraction("ch0", 100) == pytest.approx(0.4)
-    assert tracker.total_busy() == 40
-
-
-def test_utilization_idle_without_busy_is_noop():
-    tracker = UtilizationTracker()
-    tracker.mark_idle("x", 10)
-    assert tracker.busy_fraction("x", 10) == 0.0

@@ -169,6 +169,46 @@ def test_matrix_checks_names_before_making_a_directory(tmp_path, capsys):
         ["ftl", "sweep", "--workload", "bogus", "--cache"],
         ["fleet", "run", "--workload", "bogus", "--cache"],
         ["run", "--workload", "bogus", "--cache"],
+        # Numeric axes and policy lists the library checks while planning.
+        pytest.param(
+            ["fleet", "sweep", "--requests", "40", "--devices", "0",
+             "--cache"],
+            id="fleet sweep --devices 0",
+        ),
+        pytest.param(
+            ["ftl", "sweep", "--requests", "40", "--fills", "2", "--queue"],
+            id="ftl sweep --fills 2",
+        ),
+        pytest.param(
+            ["faults", "sweep", "--requests", "40", "--link-counts", "-1",
+             "--cache"],
+            id="faults sweep --link-counts -1",
+        ),
+        pytest.param(
+            ["qos", "sweep", "--requests", "40", "--levels", "0.5",
+             "--queue"],
+            id="qos sweep --levels 0.5",
+        ),
+        pytest.param(
+            ["qos", "sweep", "--requests", "40", "--policies", "--cache"],
+            id="qos sweep --policies",
+        ),
+        pytest.param(
+            ["ftl", "sweep", "--requests", "40", "--op", "2", "--queue"],
+            id="ftl sweep --op 2",
+        ),
+        pytest.param(["run", "--requests", "0", "--cache"],
+                     id="run --requests 0"),
+        pytest.param(
+            ["fleet", "sweep", "--requests", "40", "--tenants", "0",
+             "--queue"],
+            id="fleet sweep --tenants 0",
+        ),
+        pytest.param(
+            ["fleet", "sweep", "--requests", "40", "--sample", "-1",
+             "--cache"],
+            id="fleet sweep --sample -1",
+        ),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
