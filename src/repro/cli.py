@@ -206,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="free-page fraction at which GC stops (digest-joining knob)",
     )
+    run.set_defaults(handler=_cmd_run)
 
     compare = sub.add_parser("compare", help="one workload across all designs")
     compare.add_argument("--workload", default="hm_0")
@@ -213,6 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--requests", type=int, default=1200)
     compare.add_argument("--seed", type=int, default=42)
     _add_orchestration_flags(compare)
+    compare.set_defaults(handler=_cmd_compare)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", choices=sorted(figures.FIGURES))
@@ -242,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_amortization_flags(figure)
     figure.add_argument("--json", action="store_true")
     _add_orchestration_flags(figure)
+    figure.set_defaults(handler=_cmd_figure)
 
     matrix = sub.add_parser(
         "matrix", help="regenerate every figure in one shared pass"
@@ -268,6 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_amortization_flags(matrix)
     matrix.add_argument("--json", action="store_true")
     _add_orchestration_flags(matrix)
+    matrix.set_defaults(handler=_cmd_matrix)
 
     bench = sub.add_parser(
         "bench", help="run the core perf micro-benchmarks (BENCH_core.json)"
@@ -303,6 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allowed fractional regression vs the baseline (default 0.20)",
     )
     bench.add_argument("--json", action="store_true", help="print the payload")
+    bench.set_defaults(handler=_cmd_bench)
 
     trace = sub.add_parser(
         "trace", help="inspect, replay, or convert real trace files"
@@ -325,6 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="summarize only the first N records",
     )
     inspect.add_argument("--json", action="store_true")
+    inspect.set_defaults(handler=_cmd_trace_inspect)
 
     replay = trace_sub.add_parser(
         "replay", help="replay a trace file on one design (cache-aware)"
@@ -346,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--cache", default=None, metavar="DIR", help="result store directory"
     )
+    replay.set_defaults(handler=_cmd_trace_replay)
 
     convert = trace_sub.add_parser(
         "convert", help="rewrite a trace as canonical venice CSV"
@@ -363,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help="convert only the first N records",
     )
+    convert.set_defaults(handler=_cmd_trace_convert)
 
     faults = sub.add_parser(
         "faults", help="fault injection: degradation sweeps, schedule checking"
@@ -387,12 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(sweep)
+    sweep.set_defaults(handler=_cmd_faults_sweep)
 
     check = faults_sub.add_parser(
         "check", help="parse a fault schedule and echo its canonical form"
     )
     check.add_argument("schedule")
     check.add_argument("--json", action="store_true")
+    check.set_defaults(handler=_cmd_faults_check)
 
     ftl = sub.add_parser(
         "ftl",
@@ -469,6 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ftl_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(ftl_sweep)
+    ftl_sweep.set_defaults(handler=_cmd_ftl_sweep)
 
     fleet = sub.add_parser(
         "fleet", help="multi-SSD fleets: tenant fan-out, placement, roll-ups"
@@ -527,6 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument("--json", action="store_true")
     _add_orchestration_flags(fleet_run)
+    fleet_run.set_defaults(handler=_cmd_fleet_run)
 
     fleet_sweep = fleet_sub.add_parser(
         "sweep", help="throughput/p99 vs device count and placement policy"
@@ -561,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(fleet_sweep)
+    fleet_sweep.set_defaults(handler=_cmd_fleet_sweep)
 
     qos = sub.add_parser(
         "qos",
@@ -628,6 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     qos_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(qos_sweep)
+    qos_sweep.set_defaults(handler=_cmd_qos_sweep)
 
     store = sub.add_parser(
         "store", help="result-store maintenance and observability"
@@ -642,6 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result store directory to inspect",
     )
     store_stats.add_argument("--json", action="store_true")
+    store_stats.set_defaults(handler=_cmd_store_stats)
 
     store_verify = store_sub.add_parser(
         "verify",
@@ -657,6 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="quarantine corrupt entries (they re-simulate as cache misses)",
     )
     store_verify.add_argument("--json", action="store_true")
+    store_verify.set_defaults(handler=_cmd_store_verify)
 
     store_gc = store_sub.add_parser(
         "gc", help="drop quarantined entries and stale temp files"
@@ -666,6 +682,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result store directory to collect",
     )
     store_gc.add_argument("--json", action="store_true")
+    store_gc.set_defaults(handler=_cmd_store_gc)
 
     store_compact = store_sub.add_parser(
         "compact",
@@ -676,6 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result store directory to compact",
     )
     store_compact.add_argument("--json", action="store_true")
+    store_compact.set_defaults(handler=_cmd_store_compact)
 
     worker = sub.add_parser(
         "worker",
@@ -705,6 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "counted as a failed attempt",
     )
     worker.add_argument("--json", action="store_true")
+    worker.set_defaults(handler=_cmd_worker)
 
     queue = sub.add_parser(
         "queue", help="work-queue observability: task states, dead letters"
@@ -715,11 +734,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     queue_status.add_argument("--queue", required=True, metavar="DIR")
     queue_status.add_argument("--json", action="store_true")
+    queue_status.set_defaults(handler=_cmd_queue_status)
     queue_dead = queue_sub.add_parser(
         "dead", help="dead-lettered tasks with their captured errors"
     )
     queue_dead.add_argument("--queue", required=True, metavar="DIR")
     queue_dead.add_argument("--json", action="store_true")
+    queue_dead.set_defaults(handler=_cmd_queue_dead)
 
     serve = sub.add_parser(
         "serve",
@@ -754,6 +775,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help="log requests and job transitions to stderr",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     list_parser = sub.add_parser(
         "list",
@@ -765,6 +787,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine-readable name catalog (what the service dashboard "
         "and scripts consume)",
     )
+    list_parser.set_defaults(handler=_cmd_list)
     return parser
 
 
@@ -1122,14 +1145,6 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "inspect":
-        return _cmd_trace_inspect(args)
-    if args.trace_command == "replay":
-        return _cmd_trace_replay(args)
-    return _cmd_trace_convert(args)
-
-
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.faults import DEFAULT_LINK_COUNTS, run_faults_sweep
 
@@ -1193,12 +1208,6 @@ def _cmd_faults_check(args: argparse.Namespace) -> int:
     print(f"events: {len(schedule)}")
     print(f"canonical: {schedule.to_spec()}")
     return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.faults_command == "sweep":
-        return _cmd_faults_sweep(args)
-    return _cmd_faults_check(args)
 
 
 def _cmd_ftl_sweep(args: argparse.Namespace) -> int:
@@ -1296,10 +1305,6 @@ def _cmd_ftl_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ftl(args: argparse.Namespace) -> int:
-    return _cmd_ftl_sweep(args)
-
-
 def _parse_member_faults(entries, count: int):
     """``--faults`` grammar: ``IDX:SCHEDULE`` targets one member, a bare
     ``SCHEDULE`` targets every member.  Returns a per-member list.
@@ -1343,7 +1348,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         devices=count,
         placement=args.placement,
         tenants=args.tenants,
-        sample=min(args.sample, count),
+        sample=args.sample,
         qos=args.qos,
         burst=args.burst,
         faults=_parse_member_faults(args.member_faults, count),
@@ -1493,12 +1498,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "run":
-        return _cmd_fleet_run(args)
-    return _cmd_fleet_sweep(args)
-
-
 def _cmd_qos_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.faults import SWEEP_DESIGNS
     from repro.experiments.qos import (
@@ -1554,10 +1553,6 @@ def _cmd_qos_sweep(args: argparse.Namespace) -> int:
             )
             print()
     return 0
-
-
-def _cmd_qos(args: argparse.Namespace) -> int:
-    return _cmd_qos_sweep(args)
 
 
 def _open_store(args: argparse.Namespace) -> ResultStore:
@@ -1618,16 +1613,6 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     return _emit_payload(report, args.json, f"store compact {args.cache}")
 
 
-def _cmd_store(args: argparse.Namespace) -> int:
-    if args.store_command == "stats":
-        return _cmd_store_stats(args)
-    if args.store_command == "verify":
-        return _cmd_store_verify(args)
-    if args.store_command == "gc":
-        return _cmd_store_gc(args)
-    return _cmd_store_compact(args)
-
-
 def _join_queue(directory):
     """Open an *existing* queue; joining must never invent a config.
 
@@ -1664,13 +1649,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return _emit_payload(stats, args.json, f"worker on {args.queue}")
 
 
-def _cmd_queue(args: argparse.Namespace) -> int:
-    queue = _join_queue(args.queue)
-    if args.queue_command == "status":
-        return _emit_payload(
-            queue.status(), args.json, f"queue {args.queue}"
-        )
-    letters = queue.dead_letters()
+def _cmd_queue_status(args: argparse.Namespace) -> int:
+    status = _join_queue(args.queue).status()
+    return _emit_payload(status, args.json, f"queue {args.queue}")
+
+
+def _cmd_queue_dead(args: argparse.Namespace) -> int:
+    letters = _join_queue(args.queue).dead_letters()
     if args.json:
         print(json.dumps(letters, indent=2))
         return 0
@@ -1737,40 +1722,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "matrix":
-            return _cmd_matrix(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "ftl":
-            return _cmd_ftl(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        if args.command == "qos":
-            return _cmd_qos(args)
-        if args.command == "store":
-            return _cmd_store(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "queue":
-            return _cmd_queue(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "list":
-            return _cmd_list(args)
+        return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return 1  # pragma: no cover - argparse enforces choices
 
 
 if __name__ == "__main__":  # pragma: no cover

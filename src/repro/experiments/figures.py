@@ -487,10 +487,8 @@ def fig15_sensitivity(
 # Table 4: power and area overheads (analytic)
 # --------------------------------------------------------------------- #
 
-def _plan_table4(
-    scale: ExperimentScale, power_model: Optional[PowerModel] = None
-) -> Plan:
-    power_model = power_model or PowerModel()
+def _plan_table4(scale: ExperimentScale) -> Plan:
+    power_model = PowerModel()
 
     def reduce(results: SpecResults) -> Dict[str, object]:
         config = build_config("performance-optimized", scale)
@@ -510,9 +508,8 @@ def _plan_table4(
 
 def table4_overheads(
     scale: ExperimentScale = ExperimentScale(),
-    power_model: PowerModel = PowerModel(),
 ) -> Dict[str, object]:
-    _, reduce = _plan_table4(scale, power_model)
+    _, reduce = _plan_table4(scale)
     return reduce({})
 
 

@@ -21,6 +21,7 @@ acceleration) live here too, and so does the spec vocabulary:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -65,9 +66,17 @@ ALL_DESIGNS = (
 )
 
 # Scalars a spec may carry in ``device_kwargs``: anything JSON encodes
-# canonically.  Live objects (caches, power models) would break hashing and
-# cross-process rebuilds, so they are rejected at spec construction.
+# canonically.  Live objects would break hashing and cross-process
+# rebuilds, so they are rejected at spec construction.
 Scalar = Union[bool, int, float, str, None]
+
+# Names a spec may carry in ``device_kwargs``: the device's keyword options
+# but the two the spec sets itself (``_build_device``).
+_DEVICE_OPTIONS = frozenset(
+    name
+    for name, option in inspect.signature(SsdDevice).parameters.items()
+    if option.kind is option.KEYWORD_ONLY
+) - {"queue_pairs", "faults"}
 
 
 @dataclass(frozen=True)
@@ -352,6 +361,11 @@ class RunSpec:
         # identical runs share one digest and therefore one cache entry.
         object.__setattr__(self, "preset", canonical_preset_name(self.preset))
         for key, value in self.device_kwargs:
+            if key not in _DEVICE_OPTIONS:
+                raise ConfigurationError(
+                    f"unknown device kwarg {key!r} (expected one of "
+                    f"{', '.join(sorted(_DEVICE_OPTIONS))})"
+                )
             if not (value is None or isinstance(value, (bool, int, float, str))):
                 raise ConfigurationError(
                     f"device kwarg {key!r} must be a JSON scalar, got "

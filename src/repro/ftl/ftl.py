@@ -1,9 +1,12 @@
 """The FTL orchestrator: address translation and transaction generation.
 
 Responsibilities (paper §2.2): logical-to-physical mapping with out-of-place
-writes, garbage collection, wear leveling, and DRAM caching.  The FTL turns
-host I/O requests (LBA ranges) into per-page flash transactions; the SSD
-device layer services them over the communication fabric.
+writes, garbage collection, and wear leveling.  The FTL turns host I/O
+requests (LBA ranges) into per-page flash transactions; the SSD device layer
+services them over the communication fabric.  The paper's FTL also caches
+data pages in DRAM; this model has no data cache, because the evaluation
+measures fabric behaviour and a cache in front would absorb part of the
+traffic the figures characterise.  Every host page reaches the flash array.
 
 Reads to never-written logical pages are *implicitly preconditioned*: the
 page is materialised at a striped physical location with zero simulated
@@ -24,7 +27,6 @@ from repro.controller.transaction import (
 )
 from repro.errors import GarbageCollectionError, MappingError
 from repro.ftl.allocator import AllocationStrategy, PageAllocator
-from repro.ftl.cache import DramCache
 from repro.ftl.mapping import MappingTable
 from repro.nand.address import PhysicalPageAddress
 from repro.nand.array import FlashArray
@@ -43,8 +45,6 @@ class Ftl:
         array: FlashArray,
         *,
         strategy: AllocationStrategy = AllocationStrategy.CWDP,
-        cache: Optional[DramCache] = None,
-        multi_plane_writes: bool = True,
     ) -> None:
         self.config = config
         self.array = array
@@ -52,16 +52,12 @@ class Ftl:
         usable = int(self.geometry.total_pages * (1.0 - config.over_provisioning))
         self.mapping = MappingTable(max(1, usable))
         self.allocator = PageAllocator(array, strategy=strategy, seed=config.seed)
-        self.cache = cache if cache is not None else DramCache(0, enabled=False)
-        self.multi_plane_writes = multi_plane_writes
         self.cluster_pages = max(1, self.CLUSTER_BYTES // self.geometry.page_size)
         self._planes_per_chip = (
             self.geometry.dies_per_chip * self.geometry.planes_per_die
         )
         self._pages_per_plane = self.geometry.pages_per_plane
-        self.host_reads = 0
         self.host_writes = 0
-        self.cache_served_reads = 0
         self.implicit_preconditions = 0
 
     # ------------------------------------------------------------------ #
@@ -133,14 +129,10 @@ class Ftl:
         )
 
     def translate_read(self, byte_offset: int, size_bytes: int) -> List[FlashTransaction]:
-        """Host read -> one READ transaction per (uncached) logical page."""
+        """Host read -> one READ transaction per logical page."""
         transactions: List[FlashTransaction] = []
         page_size = self.geometry.page_size
         for lpn in self.lpns_for(byte_offset, size_bytes):
-            self.host_reads += 1
-            if self.cache.lookup_read(lpn):
-                self.cache_served_reads += 1
-                continue
             ppn = self.mapping.lookup(lpn)
             if ppn is None:
                 ppn = self._materialise(lpn)
@@ -153,27 +145,23 @@ class Ftl:
                     source=TransactionSource.HOST,
                 )
             )
-            self.cache.fill(lpn)
         return transactions
 
     def translate_write(self, byte_offset: int, size_bytes: int) -> List[FlashTransaction]:
         """Host write -> PROGRAM transactions (out-of-place allocation).
 
-        When ``multi_plane_writes`` is on and a request spans several pages,
-        the allocator tries to hand out same-offset plane pairs so a single
-        multi-plane PROGRAM covers them (§2.1).
+        When a request spans several pages, the allocator tries to hand out
+        same-offset plane pairs so a single multi-plane PROGRAM covers them
+        (§2.1).
         """
         lpns = self.lpns_for(byte_offset, size_bytes)
-        for lpn in lpns:
-            self.host_writes += 1
-            self.cache.lookup_write(lpn)
+        self.host_writes += len(lpns)
         transactions: List[FlashTransaction] = []
         page_size = self.geometry.page_size
         index = 0
         planes_per_die = self.geometry.planes_per_die
         while index < len(lpns):
-            remaining = len(lpns) - index
-            want = min(remaining, planes_per_die) if self.multi_plane_writes else 1
+            want = min(len(lpns) - index, planes_per_die)
             if want > 1:
                 addresses = self.allocator.allocate_multi_plane(want)
             else:

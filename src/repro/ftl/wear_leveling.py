@@ -52,6 +52,9 @@ class WearStats:
 class WearLeveler:
     """Static wear leveling via cold-block migration."""
 
+    #: Erase-count spread above which a leveling pass starts.
+    SPREAD_THRESHOLD = 8
+
     def __init__(
         self,
         engine: Engine,
@@ -60,7 +63,6 @@ class WearLeveler:
         allocator: PageAllocator,
         pipeline: TransactionPipeline,
         *,
-        spread_threshold: int = 8,
         enabled: bool = True,
     ) -> None:
         self.engine = engine
@@ -68,7 +70,6 @@ class WearLeveler:
         self.mapping = mapping
         self.allocator = allocator
         self.pipeline = pipeline
-        self.spread_threshold = spread_threshold
         self.enabled = enabled
         self.migrations = 0
         self.swaps_triggered = 0
@@ -89,7 +90,7 @@ class WearLeveler:
 
     def needs_leveling(self) -> bool:
         """Whether the wear spread exceeds the leveling threshold."""
-        return self.enabled and self.wear_stats().spread > self.spread_threshold
+        return self.enabled and self.wear_stats().spread > self.SPREAD_THRESHOLD
 
     def maybe_trigger(self) -> bool:
         """Start one leveling pass if needed and none is already running."""

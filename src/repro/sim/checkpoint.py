@@ -13,8 +13,9 @@ simulation can seed an entire matrix:
   digest* that content-addresses the snapshot,
 * :func:`snapshot_device` / :func:`restore_device` -- serialise and rebuild
   the mutable device state: per-block NAND occupancy and erase counts,
-  the logical-to-physical mapping, allocator cursors and RNG stream, and
-  DRAM-cache residency,
+  the logical-to-physical mapping, and allocator cursors and RNG stream
+  (the snapshot's ``cache`` field is a fixed empty list: the device models
+  no DRAM data cache, and the field stays for format compatibility),
 * the result store (:class:`~repro.experiments.store.ResultStore`) keeps
   each snapshot as ``checkpoints/<checkpoint-digest>.json``, and the
   executor hands every run its snapshot by value
@@ -59,8 +60,8 @@ class WarmupPhase:
     filled pages via :meth:`repro.ftl.ftl.Ftl.churn`, spreading invalid
     pages across closed blocks so the device starts in GC steady state
     rather than a pristine fill), followed by ``steps`` timed requests of a
-    fixed synthetic aging workload that exercises the allocator, garbage
-    collector, and cache.  Instances are immutable values round-trippable
+    fixed synthetic aging workload that exercises the allocator and the
+    garbage collector.  Instances are immutable values round-trippable
     through the spec grammar::
 
         fill 0.5; churn 0.3; steps 400
@@ -149,10 +150,12 @@ def snapshot_device(device) -> dict:
     The device must be at quiescence (no in-flight programs, event loop
     drained) -- :class:`SimulationError` is raised otherwise.  The snapshot
     covers per-block NAND occupancy ('v'/'i' per handed-out page, erase
-    count), the LPN->PPN mapping, allocator cursors plus the allocator RNG
-    stream, and DRAM-cache residency.  It is built from JSON-native values
-    only (lists rather than tuples, ``str`` dict keys), so an in-process
-    snapshot is the same value a disk-loaded one would be.
+    count), the LPN->PPN mapping, and allocator cursors plus the allocator
+    RNG stream.  Its ``cache`` field is always ``[]``: the device models no
+    DRAM cache, and the field stays so the format is unchanged.  The
+    snapshot is built from JSON-native values only (lists rather than
+    tuples, ``str`` dict keys), so an in-process snapshot is the same value
+    a disk-loaded one would be.
     """
     blocks: List[list] = []
     planes = [plane for _, _, plane in device.array.iter_planes()]
@@ -189,9 +192,7 @@ def snapshot_device(device) -> dict:
             "allocations": allocator.allocations,
             "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
         },
-        "cache": [
-            [lpn, dirty] for lpn, dirty in device.ftl.cache._lru.items()
-        ],
+        "cache": [],
     }
 
 
@@ -218,7 +219,8 @@ def restore_device(device, state: dict) -> None:
     lie in the logical space and every mapped PPN on a valid page, and
     after restoration the FTL's cross-layer consistency invariant is
     re-checked (:meth:`repro.ftl.ftl.Ftl.assert_consistent`), so a corrupt
-    snapshot can never silently seed a measured phase.
+    snapshot can never silently seed a measured phase.  A non-empty
+    ``cache`` section is refused: the device has no DRAM cache to hold it.
     """
     if state.get("version") != CHECKPOINT_VERSION:
         raise SimulationError(
@@ -231,6 +233,11 @@ def restore_device(device, state: dict) -> None:
         raise SimulationError(
             f"checkpoint geometry {state.get('geometry')} does not match "
             f"device geometry {expected}"
+        )
+    if state["cache"]:
+        raise SimulationError(
+            f"checkpoint cache section holds {len(state['cache'])} lines; "
+            f"the device models no DRAM cache"
         )
     planes = [plane for _, _, plane in device.array.iter_planes()]
     blocks_per_plane = expected["blocks_per_plane"]
@@ -283,9 +290,6 @@ def restore_device(device, state: dict) -> None:
     allocator.allocations = section["allocations"]
     rng = section["rng"]
     allocator._rng._random.setstate((rng[0], tuple(rng[1]), rng[2]))
-    cache = device.ftl.cache
-    for lpn, dirty in state["cache"]:
-        cache._lru[int(lpn)] = bool(dirty)
     device.ftl.assert_consistent()
 
 

@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError, GarbageCollectionError
 from repro.controller.ecc import EccEngine
 from repro.controller.pipeline import TransactionPipeline
 from repro.ftl.allocator import AllocationStrategy
-from repro.ftl.cache import DramCache
 from repro.ftl.ftl import Ftl
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.wear_leveling import WearLeveler
@@ -69,12 +68,8 @@ class SsdDevice:
         design: DesignKind,
         *,
         queue_pairs: int = 4,
-        enable_gc: bool = True,
         enable_wear_leveling: bool = False,
-        cache: Optional[DramCache] = None,
         allocation: AllocationStrategy = AllocationStrategy.CWDP,
-        power_model: Optional[PowerModel] = None,
-        multi_plane_writes: bool = True,
         exact_stats: Optional[bool] = None,
         faults: Optional[Union[str, FaultSchedule]] = None,
         export_histogram: bool = False,
@@ -100,13 +95,7 @@ class SsdDevice:
         self.pipeline = TransactionPipeline(
             self.engine, config, self.array, self.fabric, ecc=self.ecc
         )
-        self.ftl = Ftl(
-            config,
-            self.array,
-            strategy=allocation,
-            cache=cache,
-            multi_plane_writes=multi_plane_writes,
-        )
+        self.ftl = Ftl(config, self.array, strategy=allocation)
         self.gc = GarbageCollector(
             self.engine, config, self.array, self.ftl.mapping,
             self.ftl.allocator, self.pipeline,
@@ -116,7 +105,6 @@ class SsdDevice:
             self.ftl.allocator, self.pipeline,
             enabled=enable_wear_leveling,
         )
-        self.enable_gc = enable_gc
         self.queues: List[NvmeQueuePair] = [
             NvmeQueuePair(queue_id, depth=config.queue_depth * 4)
             for queue_id in range(max(1, queue_pairs))
@@ -132,7 +120,7 @@ class SsdDevice:
         # tenant of the fleet fan-out, for QoS victim/burst roll-ups.
         self.export_histogram = bool(export_histogram)
         self.export_tenant_histograms = bool(export_tenant_histograms)
-        self.energy_accountant = EnergyAccountant(power_model or PowerModel())
+        self.energy_accountant = EnergyAccountant(PowerModel())
         self._outstanding = 0
         self._next_queue = 0
         # Steady-state early-stop (armed per run_trace call): when the
@@ -233,9 +221,8 @@ class SsdDevice:
                 stall_retries += 1
                 if stall_retries > self._max_write_stall_retries:
                     raise
-                if self.enable_gc:
-                    for plane in range(self.ftl.allocator.plane_count()):
-                        self.gc.maybe_trigger(plane, force=True)
+                for plane in range(self.ftl.allocator.plane_count()):
+                    self.gc.maybe_trigger(plane, force=True)
                 self.write_stalls += 1
                 self.write_stall_ns += self._write_stall_pause_ns
                 yield self._write_stall_pause_ns
@@ -270,9 +257,8 @@ class SsdDevice:
             self._halted = True
         self._outstanding -= 1
 
-        if self.enable_gc:
-            for plane_flat in self.ftl.planes_touched_by(transactions):
-                self.gc.maybe_trigger(plane_flat)
+        for plane_flat in self.ftl.planes_touched_by(transactions):
+            self.gc.maybe_trigger(plane_flat)
         self.wear_leveler.maybe_trigger()
         self.on_doorbell()
 
@@ -300,7 +286,6 @@ class SsdDevice:
         workload_name: str = "trace",
         *,
         with_cdf: bool = False,
-        max_events: Optional[int] = None,
         allow_empty: bool = False,
         early_stop: Optional[Union[str, EarlyStopPolicy]] = None,
     ) -> RunResult:
@@ -356,21 +341,16 @@ class SsdDevice:
             stop = lambda: self._halted  # noqa: E731 - engine-polled closure
         host = TraceReplayHost(self.engine, self.queues, self.on_doorbell)
         self.engine.process(host.replay(requests, stop=stop), name="host-replay")
-        self.engine.run(max_events=max_events)
+        self.engine.run()
         energy = self._account_energy()
         extra = {
             "fabric_transfers": float(self.fabric.stats.transfers),
             "fabric_conflicted": float(self.fabric.stats.conflicted_transfers),
+            "gc_blocks_reclaimed": float(self.gc.blocks_reclaimed),
+            "gc_pages_migrated": float(self.gc.pages_migrated),
+            "scout_attempts": float(self.fabric.stats.scout_attempts_total),
+            "scout_failures": float(self.fabric.stats.scout_failures_total),
         }
-        if self.enable_gc:
-            # Emitted only when GC is armed, matching the fault-telemetry
-            # convention (keys appear iff the subsystem could have acted).
-            # enable_gc defaults on, so ordinary results keep these keys in
-            # their historical position and stay byte-identical.
-            extra["gc_blocks_reclaimed"] = float(self.gc.blocks_reclaimed)
-            extra["gc_pages_migrated"] = float(self.gc.pages_migrated)
-        extra["scout_attempts"] = float(self.fabric.stats.scout_attempts_total)
-        extra["scout_failures"] = float(self.fabric.stats.scout_failures_total)
         if self.gc.invocations or self.wear_leveler.enabled or self.write_stalls:
             # Sustained-write telemetry, emitted only when the write
             # machinery actually engaged (GC collected, wear leveling is

@@ -31,7 +31,7 @@ def test_digest_survives_dict_round_trip():
         SCALE,
         with_cdf=True,
         geometry=(4, 16),
-        enable_gc=False,
+        enable_wear_leveling=True,
     )
     rebuilt = RunSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
@@ -52,10 +52,12 @@ def test_preset_aliases_share_one_identity():
 
 def test_device_kwarg_order_is_irrelevant():
     first = make_spec(
-        "venice", "perf", "hm_0", SCALE, enable_gc=False, multi_plane_writes=True
+        "venice", "perf", "hm_0", SCALE,
+        enable_wear_leveling=True, over_provisioning=0.2,
     )
     second = make_spec(
-        "venice", "perf", "hm_0", SCALE, multi_plane_writes=True, enable_gc=False
+        "venice", "perf", "hm_0", SCALE,
+        over_provisioning=0.2, enable_wear_leveling=True,
     )
     assert first == second
     assert first.digest == second.digest
@@ -67,7 +69,7 @@ def test_device_kwarg_order_is_irrelevant():
         {"design": "ideal"},
         {"workload": "proj_3"},
         {"preset": "cost-optimized"},
-        {"mix": True},
+        {"enable_wear_leveling": True},  # a device kwarg
         {"with_cdf": True},
         {"geometry": (4, 16)},
         {"scale": ExperimentScale(requests=61, blocks_per_plane=8, pages_per_block=8)},
@@ -89,8 +91,25 @@ def test_unknown_design_rejected_eagerly():
 
 
 def test_non_scalar_device_kwargs_rejected():
-    with pytest.raises(ConfigurationError):
-        make_spec("venice", "perf", "hm_0", SCALE, cache={"not": "a scalar"})
+    with pytest.raises(ConfigurationError, match="JSON scalar"):
+        make_spec(
+            "venice", "perf", "hm_0", SCALE,
+            over_provisioning={"not": "a scalar"},
+        )
+
+
+@pytest.mark.parametrize(
+    "name", ["enable_gc", "multi_plane_writes", "queue_pairs"]
+)
+def test_unknown_device_kwargs_rejected(name):
+    # A name the device does not take as a spec option fails when the spec
+    # is built, not later inside a worker.
+    with pytest.raises(ConfigurationError, match=name):
+        make_spec("venice", "perf", "hm_0", SCALE, **{name: False})
+    payload = make_spec("venice", "perf", "hm_0", SCALE).to_dict()
+    payload["device_kwargs"] = {name: False}
+    with pytest.raises(ConfigurationError, match=name):
+        RunSpec.from_dict(payload)
 
 
 def test_geometry_override_applies_to_config():

@@ -1,88 +1,8 @@
-"""DRAM cache and wear-leveling tests."""
-
-import pytest
+"""Wear-leveling tests."""
 
 from repro.config.presets import performance_optimized
 from repro.config.ssd_config import DesignKind
-from repro.errors import ConfigurationError
-from repro.ftl.cache import DramCache
 from repro.ssd.device import SsdDevice
-
-
-# --------------------------------------------------------------------- #
-# DramCache
-# --------------------------------------------------------------------- #
-
-
-def test_cache_read_miss_then_hit():
-    cache = DramCache(4)
-    assert not cache.lookup_read(1)
-    cache.fill(1)
-    assert cache.lookup_read(1)
-    assert cache.read_hits == 1
-    assert cache.read_misses == 1
-
-
-def test_cache_lru_eviction_order():
-    cache = DramCache(2)
-    cache.fill(1)
-    cache.fill(2)
-    cache.lookup_read(1)  # 1 becomes most-recent
-    cache.fill(3)  # evicts 2
-    assert cache.lookup_read(1)
-    assert not cache.lookup_read(2)
-    assert cache.lookup_read(3)
-
-
-def test_cache_dirty_eviction_reports_writeback():
-    cache = DramCache(1)
-    cache.lookup_write(1)  # write-allocate dirty
-    evicted = cache.fill(2)
-    assert evicted == 1
-    assert cache.writebacks == 1
-
-
-def test_cache_write_hit_absorbed():
-    cache = DramCache(4)
-    cache.lookup_write(5)
-    assert cache.lookup_write(5)
-    assert cache.write_hits == 1
-
-
-def test_cache_flush_counts_dirty_lines():
-    cache = DramCache(8)
-    cache.lookup_write(1)
-    cache.lookup_write(2)
-    cache.fill(3)
-    assert cache.flush() == 2
-    assert cache.occupancy == 0
-
-
-def test_cache_disabled_never_hits():
-    cache = DramCache(0)
-    assert not cache.enabled
-    cache.lookup_write(1)
-    assert not cache.lookup_read(1)
-
-
-def test_cache_invalidate():
-    cache = DramCache(4)
-    cache.fill(1)
-    cache.invalidate(1)
-    assert not cache.lookup_read(1)
-
-
-def test_cache_hit_rates():
-    cache = DramCache(4)
-    cache.fill(1)
-    cache.lookup_read(1)
-    cache.lookup_read(2)
-    assert (cache.read_hits, cache.read_misses) == (1, 1)
-
-
-def test_cache_negative_capacity_rejected():
-    with pytest.raises(ConfigurationError):
-        DramCache(-1)
 
 
 # --------------------------------------------------------------------- #

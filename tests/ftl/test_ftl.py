@@ -8,7 +8,6 @@ from repro.config.ssd_config import DesignKind
 from repro.controller.transaction import TransactionKind
 from repro.errors import GarbageCollectionError, MappingError, ReproError
 from repro.ftl.allocator import AllocationStrategy
-from repro.ftl.cache import DramCache
 from repro.ftl.ftl import Ftl
 from repro.nand.array import FlashArray
 from repro.sim.checkpoint import snapshot_device
@@ -16,10 +15,10 @@ from repro.sim.engine import Engine
 from repro.ssd.device import SsdDevice
 
 
-def make_ftl(blocks=4, pages=8, cache=None, multi_plane=True):
+def make_ftl(blocks=4, pages=8):
     config = performance_optimized(blocks_per_plane=blocks, pages_per_block=pages)
     array = FlashArray(Engine(), config)
-    return Ftl(config, array, cache=cache, multi_plane_writes=multi_plane), config
+    return Ftl(config, array), config
 
 
 def complete_programs(ftl, transactions):
@@ -106,24 +105,6 @@ def test_multi_plane_write_grouping():
     multi = [t for t in transactions if t.is_multi_plane]
     assert multi, "large writes should produce multi-plane programs"
     assert sum(t.plane_count for t in transactions) == 4
-
-
-def test_multi_plane_disabled():
-    ftl, config = make_ftl(multi_plane=False)
-    transactions = ftl.translate_write(0, config.geometry.page_size * 4)
-    assert all(not t.is_multi_plane for t in transactions)
-    assert len(transactions) == 4
-
-
-def test_cache_absorbs_repeated_reads():
-    cache = DramCache(capacity_pages=16)
-    ftl, config = make_ftl(cache=cache)
-    page = config.geometry.page_size
-    first = ftl.translate_read(0, page)
-    assert len(first) == 1
-    second = ftl.translate_read(0, page)
-    assert second == []  # served from DRAM
-    assert ftl.cache_served_reads == 1
 
 
 def test_precondition_fills_fraction():

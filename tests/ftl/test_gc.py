@@ -107,13 +107,3 @@ def test_gc_migrations_travel_the_fabric():
     if device.gc.pages_migrated:
         # GC reads+programs went through the transaction pipeline.
         assert device.pipeline.reads_completed > 0
-
-
-def test_no_gc_when_disabled():
-    config = performance_optimized(blocks_per_plane=4, pages_per_block=4)
-    device = SsdDevice(config, DesignKind.BASELINE, enable_gc=False)
-    page = config.geometry.page_size
-    device.precondition(0.85)
-    requests = overwrite_trace(pages_to_write=32, page_size=page, passes=3)
-    device.run_trace(requests, "overwrite")
-    assert device.gc.invocations == 0

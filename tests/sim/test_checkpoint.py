@@ -11,7 +11,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.spec import ExperimentScale, build_config, make_spec
 from repro.experiments.store import ResultStore
 from repro.ftl.allocator import AllocationStrategy
-from repro.ftl.cache import DramCache
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     WarmupPhase,
@@ -109,13 +108,11 @@ class TestSnapshotRestore:
             build_config("performance-optimized", SCALE),
             DesignKind.BASELINE,
             allocation=AllocationStrategy.RANDOM,
-            cache=DramCache(capacity_pages=4),
         )
         device.precondition(0.85)
         device.churn(0.35)
-        device.ftl.cache.lookup_write(7)
         churned = snapshot_device(device)
-        assert churned["cache"] == [[7, True]]
+        assert churned["cache"] == []
         assert any("i" in pages for *_, pages in churned["blocks"])
         assert json.loads(json.dumps(churned)) == churned
 
@@ -270,15 +267,16 @@ class TestSnapshotRestore:
         with pytest.raises(SimulationError, match="twice"):
             restore_device(device, tampered)
 
-    def test_restore_rebuilds_cache_residency(self):
+    def test_restore_rejects_a_nonempty_cache_section(self):
+        # The device models no DRAM cache, so a snapshot claiming cache
+        # residency cannot be restored faithfully.
         spec = _spec(warmup="fill 0.1")
         state, _ = spec.compute_checkpoint()
         seeded = json.loads(json.dumps(state))
-        lpn = seeded["mapping"][0][0]
-        seeded["cache"] = [[lpn, True]]
+        seeded["cache"] = [[seeded["mapping"][0][0], True]]
         device = spec._build_device(spec.build_config(), with_faults=False)
-        restore_device(device, seeded)
-        assert dict(device.ftl.cache._lru) == {lpn: True}
+        with pytest.raises(SimulationError, match="cache section"):
+            restore_device(device, seeded)
 
 
 class TestCheckpointStore:

@@ -103,9 +103,10 @@ def test_low_fill_writes_never_stall():
 
 
 def test_exhaustion_without_gc_raises_cleanly_after_bounded_retries():
-    """With GC off nothing can free space: the stall loop must give up
-    with the allocator's error after its bounded retries, not hang."""
-    device = SsdDevice(tiny_config(), DesignKind.BASELINE, enable_gc=False)
+    """With GC stubbed out nothing can free space: the stall loop must give
+    up with the allocator's error after its bounded retries, not hang."""
+    device = SsdDevice(tiny_config(), DesignKind.BASELINE)
+    device.gc.maybe_trigger = lambda plane_flat, force=False: False
     device._max_write_stall_retries = 3
     device.precondition(0.9)
     with pytest.raises(GarbageCollectionError):
@@ -185,22 +186,14 @@ def test_wear_leveling_disabled_never_migrates():
 
 
 def test_quiet_run_omits_sustained_write_keys():
-    """A read-only run on an armed-but-idle device keeps the historical
-    key set: legacy GC counters stay (GC armed), new keys stay out."""
+    """A read-only run on an idle device keeps the historical key set:
+    the legacy GC counters stay, the sustained-write keys stay out."""
     device = SsdDevice(tiny_config(), DesignKind.BASELINE)
     result = device.run_trace(read_trace(), "reads")
     assert result.extra["gc_blocks_reclaimed"] == 0.0
     assert result.extra["gc_pages_migrated"] == 0.0
     for key in NEW_KEYS:
         assert key not in result.extra
-
-
-def test_disarmed_gc_omits_legacy_gc_keys():
-    """Like fault telemetry, GC counters appear only when GC is armed."""
-    device = SsdDevice(tiny_config(), DesignKind.BASELINE, enable_gc=False)
-    result = device.run_trace(read_trace(), "reads")
-    assert "gc_blocks_reclaimed" not in result.extra
-    assert "gc_pages_migrated" not in result.extra
 
 
 def test_engaged_run_emits_every_sustained_write_key():

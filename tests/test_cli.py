@@ -209,6 +209,11 @@ def test_matrix_checks_names_before_making_a_directory(tmp_path, capsys):
              "--cache"],
             id="fleet sweep --sample -1",
         ),
+        pytest.param(
+            ["fleet", "run", "--devices", "2", "--sample", "5",
+             "--requests", "40", "--cache"],
+            id="fleet run --devices 2 --sample 5",
+        ),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )

@@ -62,7 +62,6 @@ PAGES: Dict[str, List[str]] = {
     "ftl": [
         "repro.ftl.mapping",
         "repro.ftl.allocator",
-        "repro.ftl.cache",
         "repro.ftl.gc",
         "repro.ftl.wear_leveling",
         "repro.ftl.ftl",
