@@ -50,7 +50,7 @@ def test_resource_cycle_throughput():
 def test_process_fanout_throughput():
     result = bench_fanout(processes=10_000, repeats=2)
     emit(
-        "process fan-out (spawn + AllOf join)",
+        "process fan-out (spawn + per-child join)",
         f"{result['processes_per_sec']:,.0f} processes/sec",
     )
     assert result["processes_per_sec"] > 10_000

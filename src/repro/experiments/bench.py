@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.spec import ExperimentScale, make_spec
-from repro.sim.engine import AllOf, Engine
+from repro.sim.engine import Engine
 from repro.sim.resources import Resource
 
 BENCH_SCHEMA_VERSION = 2
@@ -123,7 +123,11 @@ def bench_resource_cycles(cycles: int = 200_000, repeats: int = 3) -> Dict[str, 
 
 
 def bench_fanout(processes: int = 20_000, repeats: int = 3) -> Dict[str, float]:
-    """Process spawn + AllOf join throughput (the per-request fan-out)."""
+    """Process spawn + join throughput (the per-request fan-out).
+
+    Like ``SsdDevice._serve``, the parent spawns every child and then
+    yields each one in turn.
+    """
 
     def run() -> Tuple[float, float]:
         engine = Engine()
@@ -133,7 +137,9 @@ def bench_fanout(processes: int = 20_000, repeats: int = 3) -> Dict[str, float]:
 
         def parent(count: int):
             for _ in range(count // 4):
-                yield AllOf([engine.process(leaf()) for _ in range(3)])
+                children = [engine.process(leaf()) for _ in range(3)]
+                for child in children:
+                    yield child
 
         engine.process(parent(processes))
         start = time.perf_counter()

@@ -83,7 +83,7 @@ def simulate_two_reads(
 
     def one_read(index: int, chip: ChipAddress):
         yield from fabric.transfer(chip, 0, include_command=True)
-        yield engine.timeout(read_ns)
+        yield read_ns
         yield from fabric.transfer(chip, page, include_command=False)
         completions[index] = engine.now
 

@@ -25,7 +25,7 @@ Model:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, Generator, List, Set, Tuple
 
 from repro.config.ssd_config import DesignKind, SsdConfig
 from repro.interconnect.base import Fabric, make_outcome

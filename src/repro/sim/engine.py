@@ -1,21 +1,25 @@
 """Generator-based discrete-event engine with integer-nanosecond time.
 
 The engine executes *processes*: Python generators that yield *waitables*.
-Supported waitables:
+There are exactly four:
 
 * a plain non-negative ``int`` -- resume the process after that many
-  nanoseconds (the allocation-free form of a timeout; the dominant yield),
-* :class:`Timeout` -- the boxed form of the same delay,
-* :class:`OneShotEvent` -- resume when another process triggers the event;
-  the value passed to :meth:`OneShotEvent.succeed` becomes the value of the
-  ``yield`` expression,
+  nanoseconds (the dominant yield; nothing is allocated for it),
 * :class:`Grant` -- an already-completed waitable carrying its value;
   yielding one resumes the process immediately without touching the
   scheduler (resources hand these out on their uncontended fast path),
-* :class:`AllOf` -- resume when every child waitable has completed,
+* :class:`OneShotEvent` -- resume when another process triggers the event;
+  the value passed to :meth:`OneShotEvent.succeed` becomes the value of the
+  ``yield`` expression,
 * :class:`Process` -- resume when the child process finishes; the child's
   return value (via ``return value`` in the generator) becomes the value of
   the ``yield`` expression.
+
+Yielding anything else (a ``bool`` included) raises
+:class:`~repro.errors.SimulationError`.  A fan-out joins its children by
+spawning them all and then yielding each in turn: a finished child resumes
+the parent at once and a pending one parks it, so the parent resumes
+exactly once, inside the last child's completion.
 
 Scheduling internals (see DESIGN.md "Engine internals"): the event loop is
 a binary heap of type-tagged tuples ``(time, seq, kind, a, b)`` -- kind 0
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Tuple
 
 from repro.errors import SimulationError
 
@@ -45,31 +49,7 @@ _STEP = 0  # resume process `a` with value `b`
 _CALL = 1  # invoke zero-argument callback `a`
 
 
-class Waitable:
-    """Base class for things a process may ``yield`` on."""
-
-    __slots__ = ()
-
-
-class Timeout(Waitable):
-    """Delay a process by ``delay`` nanoseconds (must be non-negative).
-
-    Hot code paths yield the bare integer instead; this boxed form remains
-    for readability and for call sites that want early validation.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self.delay = int(delay)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Timeout({self.delay})"
-
-
-class Grant(Waitable):
+class Grant:
     """An already-completed waitable carrying its ``value``.
 
     Yielding a Grant resumes the process at the current simulation time,
@@ -87,18 +67,13 @@ class Grant(Waitable):
         return f"Grant({self.value!r})"
 
 
-class OneShotEvent(Waitable):
+class OneShotEvent:
     """An event that can be triggered exactly once.
 
     Processes yielding on a pending event are parked; when the event is
-    triggered every parked waiter is resumed (in FIFO order) with the
+    triggered every parked process is resumed (in FIFO order) with the
     trigger value.  Yielding on an already-triggered event resumes the
     process immediately.
-
-    The waiter list holds :class:`Process` objects (parked by the engine),
-    ``(join, index)`` tuples (parked by :class:`AllOf` wiring), and plain
-    one-argument callables (from :meth:`add_callback`), dispatched by exact
-    type so no closure is allocated per waiter.
     """
 
     __slots__ = ("engine", "_waiters", "triggered", "value", "name")
@@ -106,7 +81,7 @@ class OneShotEvent(Waitable):
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
-        self._waiters: List[Any] = []
+        self._waiters: List[Process] = []
         self.triggered = False
         self.value: Any = None
 
@@ -119,102 +94,30 @@ class OneShotEvent(Waitable):
         waiters = self._waiters
         if waiters:
             self._waiters = []
-            if len(waiters) == 1 and waiters[0].__class__ is Process:
-                # Single parked process: the overwhelmingly common case
-                # (resource handoffs wake exactly one waiter).
-                self.engine._step(waiters[0], value)
-            else:
-                _dispatch_waiters(self.engine, waiters, value)
-
-    def add_callback(self, callback: Callable[[Any], None]) -> None:
-        """Invoke ``callback(value)`` on trigger (immediately if triggered)."""
-        if self.triggered:
-            callback(self.value)
-        else:
-            self._waiters.append(callback)
+            step = self.engine._step
+            for waiter in waiters:
+                step(waiter, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return f"OneShotEvent({self.name!r}, {state})"
 
 
-class AllOf(Waitable):
-    """Completes when every child waitable completes.
-
-    The yield value is the list of child values in the original order.
-    Children that are already complete when the AllOf is yielded (an
-    elapsed ``Timeout(0)``, a triggered event, a finished process, a
-    :class:`Grant`) are folded in immediately -- they never take a trip
-    through the scheduler.
-    """
-
-    __slots__ = ("children",)
-
-    def __init__(self, children: Iterable[Waitable]) -> None:
-        self.children = list(children)
-
-
-class Process(Waitable):
+class Process:
     """A running generator; also waitable so processes can join each other."""
 
-    __slots__ = ("engine", "generator", "name", "done", "result", "_waiters", "_completion")
+    __slots__ = ("generator", "name", "done", "result", "_waiters")
 
-    def __init__(self, engine: "Engine", generator: Generator, name: str = "") -> None:
-        self.engine = engine
+    def __init__(self, generator: Generator, name: str = "") -> None:
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self.done = False
         self.result: Any = None
-        self._waiters: List[Any] = []
-        self._completion: Optional[OneShotEvent] = None
-
-    @property
-    def completion(self) -> OneShotEvent:
-        """An event view of this process's completion (built on demand)."""
-        if self._completion is None:
-            event = OneShotEvent(self.engine, name=f"done:{self.name}")
-            if self.done:
-                event.succeed(self.result)
-            else:
-                self._waiters.append(event.succeed)
-            self._completion = event
-        return self._completion
+        self._waiters: List[Process] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "running"
         return f"Process({self.name!r}, {state})"
-
-
-class _AllOfJoin:
-    """Fan-in state for one yielded :class:`AllOf` (no per-child closures)."""
-
-    __slots__ = ("engine", "proc", "results", "remaining")
-
-    def __init__(self, engine: "Engine", proc: Process, count: int) -> None:
-        self.engine = engine
-        self.proc = proc
-        self.results: List[Any] = [None] * count
-        self.remaining = count
-
-    def finish(self, index: int, value: Any) -> None:
-        self.results[index] = value
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.engine._step(self.proc, self.results)
-
-
-def _dispatch_waiters(engine: "Engine", waiters: List[Any], value: Any) -> None:
-    """Wake a drained waiter list: processes, AllOf joins, callbacks."""
-    step = engine._step
-    for waiter in waiters:
-        cls = waiter.__class__
-        if cls is Process:
-            step(waiter, value)
-        elif cls is tuple:
-            join, index = waiter
-            join.finish(index, value)
-        else:
-            waiter(value)
 
 
 class Engine:
@@ -248,12 +151,6 @@ class Engine:
         """Create a fresh one-shot event bound to this engine."""
         return OneShotEvent(self, name=name)
 
-    def timeout(self, delay: int) -> int:
-        """Validate and return a delay for yielding (plain-int waitable)."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        return int(delay)
-
     # ------------------------------------------------------------------ #
     # processes
     # ------------------------------------------------------------------ #
@@ -265,176 +162,73 @@ class Engine:
         caller returns to the event loop, preserving run-to-completion
         semantics for the spawning process.
         """
-        proc = Process(self, generator, name=name)
+        proc = Process(generator, name=name)
         self._micro.append((_STEP, proc, None))
         return proc
 
     def _step(self, proc: Process, value: Any) -> None:
-        """Advance a process by sending ``value`` into its generator."""
-        try:
-            target = proc.generator.send(value)
-        except StopIteration as stop:
-            result = stop.value
-            proc.done = True
-            proc.result = result
-            waiters = proc._waiters
-            if waiters:
-                proc._waiters = []
-                if len(waiters) == 1:
-                    waiter = waiters[0]
-                    cls = waiter.__class__
-                    if cls is Process:
+        """Advance a process by sending ``value`` into its generator.
+
+        An already-completed waitable resumes the process in this same
+        loop, so a fan-out joining many finished children nests no call
+        per child.
+        """
+        generator = proc.generator
+        while True:
+            try:
+                target = generator.send(value)
+            except StopIteration as stop:
+                proc.done = True
+                proc.result = result = stop.value
+                waiters = proc._waiters
+                if waiters:
+                    proc._waiters = []
+                    for waiter in waiters:
                         self._step(waiter, result)
-                    elif cls is tuple:
-                        waiter[0].finish(waiter[1], result)
-                    else:
-                        waiter(result)
+                return
+            # Exact-type dispatch, in hot-path frequency order.
+            tcls = target.__class__
+            if tcls is int:
+                if target > 0:
+                    self._sequence += 1
+                    _heappush(
+                        self._heap,
+                        (self.now + target, self._sequence, _STEP, proc, None),
+                    )
+                elif target == 0:
+                    self._micro.append((_STEP, proc, None))
                 else:
-                    _dispatch_waiters(self, waiters, result)
-            return
-        # Exact-type dispatch: the common waitables first, in hot-path
-        # frequency order; subclasses fall through to _wire_slow.
-        tcls = target.__class__
-        if tcls is int:
-            if target > 0:
-                self._sequence += 1
-                _heappush(
-                    self._heap, (self.now + target, self._sequence, _STEP, proc, None)
-                )
-            elif target == 0:
-                self._micro.append((_STEP, proc, None))
+                    raise SimulationError(
+                        f"process {proc.name!r} yielded negative delay {target}"
+                    )
+                return
+            if tcls is Grant:
+                value = target.value
+            elif tcls is OneShotEvent:
+                if not target.triggered:
+                    target._waiters.append(proc)
+                    return
+                value = target.value
+            elif tcls is Process:
+                if not target.done:
+                    target._waiters.append(proc)
+                    return
+                value = target.result
             else:
                 raise SimulationError(
-                    f"process {proc.name!r} yielded negative delay {target}"
+                    f"process {proc.name!r} yielded non-waitable {target!r}"
                 )
-        elif tcls is Grant:
-            self._step(proc, target.value)
-        elif tcls is OneShotEvent:
-            if target.triggered:
-                self._step(proc, target.value)
-            else:
-                target._waiters.append(proc)
-        elif tcls is Process:
-            if target.done:
-                self._step(proc, target.result)
-            else:
-                target._waiters.append(proc)
-        elif tcls is Timeout:
-            delay = target.delay
-            if delay:
-                self._sequence += 1
-                _heappush(
-                    self._heap, (self.now + delay, self._sequence, _STEP, proc, None)
-                )
-            else:
-                self._micro.append((_STEP, proc, None))
-        elif tcls is AllOf:
-            self._wire_all_of(proc, target)
-        else:
-            self._wire_slow(proc, target)
-
-    def _wire_slow(self, proc: Process, target: Any) -> None:
-        """isinstance-based wiring for waitable subclasses."""
-        if isinstance(target, Timeout):
-            delay = target.delay
-            if delay:
-                self._sequence += 1
-                _heappush(
-                    self._heap, (self.now + delay, self._sequence, _STEP, proc, None)
-                )
-            else:
-                self._micro.append((_STEP, proc, None))
-        elif isinstance(target, Grant):
-            self._step(proc, target.value)
-        elif isinstance(target, OneShotEvent):
-            if target.triggered:
-                self._step(proc, target.value)
-            else:
-                target._waiters.append(proc)
-        elif isinstance(target, Process):
-            if target.done:
-                self._step(proc, target.result)
-            else:
-                target._waiters.append(proc)
-        elif isinstance(target, AllOf):
-            self._wire_all_of(proc, target)
-        elif isinstance(target, int):  # bool and other int subclasses
-            if target > 0:
-                self._sequence += 1
-                _heappush(
-                    self._heap,
-                    (self.now + int(target), self._sequence, _STEP, proc, None),
-                )
-            elif target == 0:
-                self._micro.append((_STEP, proc, None))
-            else:
-                raise SimulationError(
-                    f"process {proc.name!r} yielded negative delay {target}"
-                )
-        else:
-            raise SimulationError(
-                f"process {proc.name!r} yielded non-waitable {target!r}"
-            )
-
-    def _wire_all_of(self, proc: Process, target: AllOf) -> None:
-        children = target.children
-        if not children:
-            # Resume at the current time once control returns to the loop
-            # (same order a zero-delay schedule always had).
-            self._micro.append((_STEP, proc, []))
-            return
-        join = _AllOfJoin(self, proc, len(children))
-        finish = join.finish
-        for index, child in enumerate(children):
-            ccls = child.__class__
-            if ccls is Process or isinstance(child, Process):
-                if child.done:
-                    finish(index, child.result)
-                else:
-                    child._waiters.append((join, index))
-            elif ccls is OneShotEvent or isinstance(child, OneShotEvent):
-                if child.triggered:
-                    finish(index, child.value)
-                else:
-                    child._waiters.append((join, index))
-            elif ccls is Grant or isinstance(child, Grant):
-                finish(index, child.value)
-            elif ccls is Timeout or isinstance(child, Timeout):
-                if child.delay:
-                    self.schedule(child.delay, _TimerSlot(join, index))
-                else:
-                    # Already elapsed: fold in without a heap round-trip.
-                    finish(index, None)
-            elif isinstance(child, int):
-                if child > 0:
-                    self.schedule(child, _TimerSlot(join, index))
-                elif child == 0:
-                    finish(index, None)
-                else:
-                    raise SimulationError(f"AllOf child has negative delay: {child}")
-            else:
-                raise SimulationError(f"AllOf child is not waitable: {child!r}")
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event heap and micro-queue.
-
-        Args:
-            until: stop once the clock would pass this timestamp (events at
-                exactly ``until`` still execute).
-            max_events: safety valve for runaway simulations.
-
-        Returns:
-            The number of events processed during this call.
-        """
+    def run(self) -> None:
+        """Drain the event heap and micro-queue until no event is left."""
         heap = self._heap
         micro = self._micro
         step = self._step
         pop = micro.popleft
-        processed = 0
         # Ordering invariant: heap pushes are strictly future (delay 0 goes
         # to the micro-queue), so every heap entry at the current timestamp
         # predates (lower sequence) every queued micro entry.  Draining all
@@ -448,20 +242,10 @@ class Engine:
                     step(a, b)
                 else:
                     a()
-                processed += 1
                 self._processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
             if not heap:
-                if until is not None and until > self.now:
-                    self.now = until
-                break
+                return
             event_time = heap[0][0]
-            if until is not None and event_time > until:
-                self.now = until
-                break
             self.now = event_time
             while heap and heap[0][0] == event_time:
                 entry = _heappop(heap)
@@ -469,13 +253,7 @@ class Engine:
                     step(entry[3], entry[4])
                 else:
                     entry[3]()
-                processed += 1
                 self._processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-        return processed
 
     @property
     def pending_events(self) -> int:
@@ -489,16 +267,3 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Engine(now={self.now}, pending={self.pending_events})"
-
-
-class _TimerSlot:
-    """Zero-argument adapter completing one AllOf slot at a later time."""
-
-    __slots__ = ("join", "index")
-
-    def __init__(self, join: _AllOfJoin, index: int) -> None:
-        self.join = join
-        self.index = index
-
-    def __call__(self) -> None:
-        self.join.finish(self.index, None)

@@ -188,10 +188,6 @@ class ResourcePool:
     def __len__(self) -> int:
         return len(self.members)
 
-    def free_indices(self) -> List[int]:
-        """Indices of members an acquire would currently get for free."""
-        return [i for i, member in enumerate(self.members) if member.is_free]
-
     def acquire_preferring(
         self, preference: Tuple[int, ...], restrict: bool = False
     ) -> AcquireWaitable:

@@ -30,7 +30,7 @@ from repro.metrics.collector import MetricsCollector, RunResult
 from repro.nand.array import FlashArray
 from repro.power.models import EnergyAccountant, EnergyBreakdown, PowerModel
 from repro.sim.convergence import ConvergenceMonitor, EarlyStopPolicy
-from repro.sim.engine import AllOf, Engine
+from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultSchedule, FaultSink
 from repro.ssd.factory import build_fabric
 
@@ -228,20 +228,12 @@ class SsdDevice:
                 yield self._write_stall_pause_ns
         request.transactions_total = len(transactions)
 
-        if transactions:
-            if len(transactions) == 1:
-                # Single-transaction fan-out: joining the process directly is
-                # event-for-event identical to a one-child AllOf, minus the
-                # join bookkeeping (the common case for small reads).
-                yield self.engine.process(
-                    self.pipeline.service(transactions[0]), name="txn"
-                )
-            else:
-                processes = [
-                    self.engine.process(self.pipeline.service(transaction), name="txn")
-                    for transaction in transactions
-                ]
-                yield AllOf(processes)
+        processes = [
+            self.engine.process(self.pipeline.service(transaction), name="txn")
+            for transaction in transactions
+        ]
+        for process in processes:
+            yield process
 
         for transaction in transactions:
             request.path_conflict = request.path_conflict or transaction.path_conflict

@@ -13,11 +13,14 @@ the ``usable()`` predicate (see DESIGN.md §7).
 
 * ``set_link`` / ``set_router`` mutate the network's dead sets (which the
   inlined scout walk consults) and bump a *fault epoch*;
-* :meth:`is_partitioned` answers "can any scout ever reach this chip" by a
-  BFS over the alive topology from every alive injection drop point,
-  memoised per epoch -- reservation *failures* on a connected mesh retry,
-  true partitions raise :class:`~repro.errors.RoutingError` at the fabric
-  layer instead of livelocking.
+* :meth:`components` labels the alive routers by connected component once
+  per epoch, and every reachability question is a label comparison:
+  :meth:`is_partitioned` answers "can any scout ever reach this chip"
+  (no injection drop point shares its label) -- reservation *failures* on
+  a connected mesh retry, true partitions raise
+  :class:`~repro.errors.RoutingError` at the fabric layer instead of
+  livelocking -- and :meth:`fc_can_reach` asks the same of one
+  controller's drop points.
 
 Committed circuits are not torn down by a fault: circuits live for
 microseconds while fault timescales are milliseconds, so an in-flight
@@ -26,7 +29,7 @@ transfer completes and the dead element is simply never reserved again.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet
 
 from repro.errors import RoutingError
 from repro.interconnect.topology import MESH_DIRECTIONS, Coord, edge_key
@@ -40,11 +43,11 @@ class DegradedVenice:
         #: Monotone counter bumped on every fault transition; memoised
         #: reachability is valid only for the epoch it was computed in.
         self.epoch = 0
-        self._reachable_epoch = -1
-        self._reachable: FrozenSet[Coord] = frozenset()
-        self._fc_reachable: dict = {}  # fc -> (epoch, frozenset)
         self._components_epoch = -1
         self._components: Dict[Coord, int] = {}
+        #: Component labels of each controller's alive drop points, for the
+        #: epoch of ``_components``.
+        self._fc_labels: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------ #
     # fault transitions
@@ -93,60 +96,6 @@ class DegradedVenice:
     # partition oracle
     # ------------------------------------------------------------------ #
 
-    def _bfs_from(self, sources) -> FrozenSet[Coord]:
-        """Routers reachable from ``sources`` over alive links and routers."""
-        network = self.network
-        dead_links = network._dead_links
-        dead_routers = network._dead_routers
-        topology = network.topology
-        frontier = [point for point in sources if point not in dead_routers]
-        seen = set(frontier)
-        while frontier:
-            node = frontier.pop()
-            for direction in MESH_DIRECTIONS:
-                neighbor = topology.neighbor(node, direction)
-                if neighbor is None or neighbor in seen or neighbor in dead_routers:
-                    continue
-                if edge_key(node, neighbor) in dead_links:
-                    continue
-                seen.add(neighbor)
-                frontier.append(neighbor)
-        return frozenset(seen)
-
-    def alive_reachable(self) -> FrozenSet[Coord]:
-        """Routers reachable from *any* alive injection drop over alive links.
-
-        Busy-ness is ignored on purpose: a busy link frees up, a dead one
-        does not, so this is exactly the "can a scout ever succeed" set.
-        Memoised per fault epoch (faults are rare events; scout failures are
-        not).
-        """
-        if self._reachable_epoch == self.epoch:
-            return self._reachable
-        self._reachable = self._bfs_from(
-            point for rows in self.network._injection_rows for point in rows
-        )
-        self._reachable_epoch = self.epoch
-        return self._reachable
-
-    def fc_reachable(self, fc_index: int) -> FrozenSet[Coord]:
-        """Routers reachable from controller ``fc_index``'s alive drop points.
-
-        Per-controller view of :meth:`alive_reachable`, used to keep a
-        transfer from being handed a controller that faults have cut off
-        from its destination.  Memoised per fault epoch.
-        """
-        cached = self._fc_reachable.get(fc_index)
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]
-        reachable = self._bfs_from(self.network._injection_rows[fc_index])
-        self._fc_reachable[fc_index] = (self.epoch, reachable)
-        return reachable
-
-    def fc_can_reach(self, fc_index: int, destination: Coord) -> bool:
-        """True when controller ``fc_index`` has an alive path to ``destination``."""
-        return tuple(destination) in self.fc_reachable(fc_index)
-
     def components(self) -> Dict[Coord, int]:
         """Component label for every alive router (memoised per epoch).
 
@@ -185,7 +134,30 @@ class DegradedVenice:
                     frontier.append(neighbor)
         self._components = labels
         self._components_epoch = self.epoch
+        self._fc_labels = {}
         return labels
+
+    def _labels_of(self, fc_index: int) -> FrozenSet[int]:
+        """Component labels of controller ``fc_index``'s alive drop points."""
+        labels = self.components()
+        fc_labels = self._fc_labels.get(fc_index)
+        if fc_labels is None:
+            fc_labels = frozenset(
+                labels[point]
+                for point in self.network._injection_rows[fc_index]
+                if point in labels
+            )
+            self._fc_labels[fc_index] = fc_labels
+        return fc_labels
+
+    def fc_can_reach(self, fc_index: int, destination: Coord) -> bool:
+        """True when controller ``fc_index`` has an alive path to ``destination``.
+
+        Used to keep a transfer from being handed a controller that faults
+        have cut off from its destination.
+        """
+        label = self.components().get(tuple(destination))
+        return label is not None and label in self._labels_of(fc_index)
 
     def same_component(self, a: Coord, b: Coord) -> bool:
         """True when ``a`` and ``b`` are alive and connected by alive links."""
@@ -201,4 +173,8 @@ class DegradedVenice:
         retries; a destination outside the alive component can never be
         reached and the fabric raises :class:`~repro.errors.RoutingError`.
         """
-        return tuple(destination) not in self.alive_reachable()
+        label = self.components().get(tuple(destination))
+        return label is None or not any(
+            label in self._labels_of(fc)
+            for fc in range(len(self.network._injection_rows))
+        )

@@ -202,6 +202,38 @@ def test_mix_follows_from_the_workload_name():
     assert plain.mix is False
 
 
+#: Engine events of each performance-optimized hm_0/YCSB_B cell at 100
+#: requests and seed 42.  The digest pins prove outputs unchanged; this
+#: pins the scheduler work that produced them.
+PINNED_EVENTS = {
+    ("hm_0", "baseline"): 1020,
+    ("hm_0", "pssd"): 1020,
+    ("hm_0", "pnssd"): 1020,
+    ("hm_0", "nossd"): 5704,
+    ("hm_0", "venice"): 1197,
+    ("hm_0", "ideal"): 1020,
+    ("YCSB_B", "baseline"): 8329,
+    ("YCSB_B", "pssd"): 8329,
+    ("YCSB_B", "pnssd"): 8329,
+    ("YCSB_B", "nossd"): 60161,
+    ("YCSB_B", "venice"): 9957,
+    ("YCSB_B", "ideal"): 8329,
+}
+
+
+def test_engine_events_per_cell_are_pinned():
+    specs = matrix_specs(
+        "performance-optimized", ("hm_0", "YCSB_B"),
+        ExperimentScale.for_requests(100, 42),
+    )
+    events = {
+        (spec.workload, spec.design): spec.execute_instrumented()[1]["events"]
+        for spec in specs
+    }
+    assert events == PINNED_EVENTS
+    assert sum(events.values()) == 114_415
+
+
 def test_clause_table_names_every_string_clause():
     from repro.experiments.spec import SPEC_CLAUSES
 

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, Engine, OneShotEvent, Process, Timeout
+from repro.sim.engine import Engine
 
 
 def test_clock_starts_at_zero():
@@ -35,19 +37,14 @@ def test_negative_delay_rejected():
         engine.schedule(-1, lambda: None)
 
 
-def test_negative_timeout_rejected():
-    with pytest.raises(SimulationError):
-        Timeout(-5)
-
-
 def test_process_timeout_advances_clock():
     engine = Engine()
     marks = []
 
     def proc():
-        yield Timeout(100)
+        yield 100
         marks.append(engine.now)
-        yield Timeout(50)
+        yield 50
         marks.append(engine.now)
 
     engine.process(proc())
@@ -59,7 +56,7 @@ def test_process_return_value_exposed():
     engine = Engine()
 
     def proc():
-        yield Timeout(1)
+        yield 1
         return 42
 
     handle = engine.process(proc())
@@ -78,7 +75,7 @@ def test_event_wakes_waiter_with_value():
         got.append((engine.now, value))
 
     def trigger():
-        yield Timeout(500)
+        yield 500
         event.succeed("payload")
 
     engine.process(waiter())
@@ -115,7 +112,7 @@ def test_process_joins_child_process():
     order = []
 
     def child():
-        yield Timeout(10)
+        yield 10
         order.append("child")
         return "child-result"
 
@@ -128,91 +125,17 @@ def test_process_joins_child_process():
     assert order == ["child", "parent-saw-child-result"]
 
 
-def test_all_of_waits_for_every_child():
-    engine = Engine()
-    done_at = []
-
-    def make(delay):
-        def proc():
-            yield Timeout(delay)
-            return delay
-
-        return proc()
-
-    def parent():
-        results = yield AllOf([engine.process(make(d)) for d in (30, 10, 20)])
-        done_at.append((engine.now, results))
-
-    engine.process(parent())
-    engine.run()
-    assert done_at == [(30, [30, 10, 20])]
-
-
-def test_all_of_empty_completes_immediately():
-    engine = Engine()
-    seen = []
-
-    def parent():
-        results = yield AllOf([])
-        seen.append(results)
-
-    engine.process(parent())
-    engine.run()
-    assert seen == [[]]
-
-
-def test_all_of_mixes_timeouts_and_events():
-    engine = Engine()
-    event = engine.event()
-    seen = []
-
-    def trigger():
-        yield Timeout(5)
-        event.succeed("ev")
-
-    def parent():
-        results = yield AllOf([Timeout(20), event])
-        seen.append((engine.now, results))
-
-    engine.process(parent())
-    engine.process(trigger())
-    engine.run()
-    assert seen == [(20, [None, "ev"])]
-
-
-def test_run_until_stops_clock():
-    engine = Engine()
-    seen = []
-    engine.schedule(10, lambda: seen.append(1))
-    engine.schedule(100, lambda: seen.append(2))
-    engine.run(until=50)
-    assert seen == [1]
-    assert engine.now == 50
-    engine.run()
-    assert seen == [1, 2]
-
-
-def test_max_events_guards_against_livelock():
-    engine = Engine()
-
-    def forever():
-        while True:
-            yield Timeout(1)
-
-    engine.process(forever())
-    with pytest.raises(SimulationError):
-        engine.run(max_events=100)
-
-
 def test_yielding_non_waitable_raises():
-    engine = Engine()
+    # ``True`` is an ``int`` subclass, but not a delay.
+    for target in ("not-a-waitable", True):
+        engine = Engine()
 
-    def bad():
-        yield "not-a-waitable"
+        def bad():
+            yield target
 
-    engine.process(bad())
-    with pytest.raises(SimulationError):
-        engine.run()
+        engine.process(bad())
+        with pytest.raises(SimulationError, match="non-waitable"):
+            engine.run()
 
 
 def test_processed_event_count_increments():
@@ -255,13 +178,6 @@ def test_yielding_negative_int_raises():
         engine.run()
 
 
-def test_engine_timeout_returns_validated_delay():
-    engine = Engine()
-    assert engine.timeout(25) == 25
-    with pytest.raises(SimulationError):
-        engine.timeout(-1)
-
-
 def test_grant_resumes_immediately_with_value():
     from repro.sim.engine import Grant
 
@@ -291,114 +207,45 @@ def test_zero_delay_schedules_run_after_same_time_heap_events():
 
 
 # --------------------------------------------------------------------- #
-# AllOf regression tests (satellite: child wiring without heap round-trips)
+# Fan-out joins: spawn every child, then yield each in turn
 # --------------------------------------------------------------------- #
 
 
-def test_all_of_preserves_result_order_regardless_of_completion_order():
-    engine = Engine()
-    seen = []
-
-    def make(delay, tag):
-        def proc():
-            yield Timeout(delay)
-            return tag
-
-        return proc()
-
-    def parent():
-        results = yield AllOf(
-            [engine.process(make(d, t)) for d, t in ((40, "a"), (10, "b"), (25, "c"))]
-        )
-        seen.append((engine.now, results))
-
-    engine.process(parent())
-    engine.run()
-    assert seen == [(40, ["a", "b", "c"])]
+def child_after(delay):
+    yield delay
+    return delay
 
 
-def test_all_of_with_zero_timeout_child_completes_without_heap_round_trip():
-    """A Timeout(0) child is folded in at wiring time (no extra event)."""
-    engine = Engine()
-    seen = []
-    event = engine.event()
-    event.succeed("ev")
-
-    def parent():
-        results = yield AllOf([Timeout(0), event, 0])
-        seen.append((engine.now, results))
-
-    engine.process(parent())
-    engine.run()
-    assert seen == [(0, [None, "ev", None])]
-    # Exactly one scheduler entry fired in total: the parent's own process
-    # start.  Pre-fix wiring scheduled one extra event per elapsed child.
-    assert engine.processed_events == 1
-
-
-def test_all_of_empty_children_completes_at_current_time():
+def test_fan_out_joins_children_in_spawn_order():
     engine = Engine()
     seen = []
 
     def parent():
-        yield 7
-        results = yield AllOf([])
-        seen.append((engine.now, results))
+        children = [engine.process(child_after(delay)) for delay in (30, 10, 20)]
+        values = []
+        for child in children:
+            values.append((yield child))
+        seen.append((engine.now, values))
 
     engine.process(parent())
     engine.run()
-    assert seen == [(7, [])]
+    assert seen == [(30, [30, 10, 20])]
+    # One start per process and one timer per child: joining adds no event.
+    assert engine.processed_events == 7
 
 
-def test_all_of_mixes_done_and_pending_children():
+def test_joining_many_finished_children_nests_no_call_per_child():
+    """The first child finishes last, so every later one is already done."""
     engine = Engine()
-    done_child_seen = []
-
-    def quick():
-        yield Timeout(1)
-        return "quick"
-
-    def slow():
-        yield Timeout(30)
-        return "slow"
-
-    quick_proc = engine.process(quick())
-    engine.run(until=5)
-    assert quick_proc.done
+    width = 3 * sys.getrecursionlimit()
+    seen = []
 
     def parent():
-        results = yield AllOf([quick_proc, engine.process(slow())])
-        done_child_seen.append((engine.now, results))
+        children = [engine.process(child_after(width - index)) for index in range(width)]
+        for child in children:
+            yield child
+        seen.append(engine.now)
 
     engine.process(parent())
     engine.run()
-    assert done_child_seen == [(35, ["quick", "slow"])]
-
-
-def test_all_of_rejects_non_waitable_child():
-    engine = Engine()
-
-    def parent():
-        yield AllOf(["nope"])
-
-    engine.process(parent())
-    with pytest.raises(SimulationError):
-        engine.run()
-
-
-def test_process_completion_event_view_still_works():
-    engine = Engine()
-    got = []
-
-    def child():
-        yield Timeout(5)
-        return 13
-
-    proc = engine.process(child())
-    proc.completion.add_callback(got.append)
-    engine.run()
-    assert got == [13]
-    # After completion the view reports the result immediately.
-    late = []
-    proc.completion.add_callback(late.append)
-    assert late == [13]
+    assert seen == [width]

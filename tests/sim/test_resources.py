@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import Engine
 from repro.sim.resources import Resource, ResourcePool
 
 
 def hold(engine, resource, duration, log, tag):
     lease = yield resource.acquire()
     log.append(("got", tag, engine.now, lease.waited))
-    yield Timeout(duration)
+    yield duration
     lease.release()
 
 
@@ -141,7 +141,7 @@ def test_pool_queues_when_all_busy_and_wakes_fifo():
     def proc(tag, duration):
         index, lease = yield pool.acquire_preferring((0,))
         order.append((tag, engine.now))
-        yield Timeout(duration)
+        yield duration
         pool.release(index, lease)
 
     engine.process(proc("a", 10))
@@ -150,15 +150,6 @@ def test_pool_queues_when_all_busy_and_wakes_fifo():
     engine.run()
     assert order == [("a", 0), ("b", 10), ("c", 20)]
     assert pool.contended_acquisitions == 2
-
-
-def test_pool_free_indices():
-    engine = Engine()
-    pool = ResourcePool(engine, "fc", 3)
-    lease = pool.members[0].try_acquire()
-    assert pool.free_indices() == [1, 2]
-    lease.release()
-    assert pool.free_indices() == [0, 1, 2]
 
 
 def test_pool_size_validation():
@@ -218,7 +209,7 @@ def test_busy_accounting_across_overlapping_leases():
     engine.process(hold(engine, resource, 30, log, "a"))
 
     def delayed():
-        yield Timeout(10)
+        yield 10
         yield from hold(engine, resource, 40, log, "b")
 
     engine.process(delayed())
@@ -265,7 +256,7 @@ def test_pool_fifo_fairness_under_contention():
     def proc(tag, preference, duration):
         index, lease = yield pool.acquire_preferring(preference)
         order.append((tag, engine.now, index))
-        yield Timeout(duration)
+        yield duration
         pool.release(index, lease)
 
     engine.process(proc("a", (0,), 10))
@@ -311,7 +302,7 @@ def test_pool_release_hands_off_to_waiter_with_accounting():
     def proc(tag, duration):
         index, lease = yield pool.acquire_preferring((0,))
         waits.append((tag, lease.waited, lease.wait_time))
-        yield Timeout(duration)
+        yield duration
         pool.release(index, lease)
 
     engine.process(proc("first", 25))
@@ -333,7 +324,7 @@ def test_pool_waiter_takes_any_member_freed_first():
 
     def holder(index, duration):
         lease = pool.members[index].try_acquire()
-        yield Timeout(duration)
+        yield duration
         pool.release(index, lease)
 
     def waiter():

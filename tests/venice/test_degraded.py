@@ -1,6 +1,7 @@
 """Degraded-mode Venice: routing around faults, partitions, repairs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
 from repro.venice.network import VeniceNetwork
@@ -181,3 +182,59 @@ def test_fc_reachability_is_per_controller():
     # Globally nothing is partitioned: each side has its own controllers.
     assert not network.is_partitioned((0, 2))
     assert not network.is_partitioned((2, 2))
+
+
+@st.composite
+def faulted_meshes(draw):
+    """A 2x2..8x8 mesh, 1-8 controllers, dead links, up to a third dead routers."""
+    rows = draw(st.integers(2, 8))
+    cols = draw(st.integers(2, 8))
+    fc_count = draw(st.integers(1, 8))
+    nodes = [(row, col) for row in range(rows) for col in range(cols)]
+    links = [((row, col), (row, col + 1)) for row in range(rows) for col in range(cols - 1)]
+    links += [((row, col), (row + 1, col)) for row in range(rows - 1) for col in range(cols)]
+    dead_links = draw(st.lists(st.sampled_from(links), unique=True))
+    dead_routers = draw(
+        st.lists(st.sampled_from(nodes), unique=True, max_size=len(nodes) // 3)
+    )
+    return rows, cols, fc_count, dead_links, dead_routers
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulted_meshes())
+def test_reachability_predicates_match_a_bfs_over_the_alive_mesh(case):
+    rows, cols, fc_count, dead_links, dead_routers = case
+    network = make_network(rows=rows, cols=cols, fc_count=fc_count)
+    degraded = network.degraded_mode()
+    for a, b in dead_links:
+        degraded.set_link(a, b, down=True)
+    dead_edges = {frozenset(link) for link in dead_links}
+
+    def reachable(sources, dead):
+        frontier = [point for point in sources if point not in dead]
+        seen = set(frontier)
+        while frontier:
+            row, col = node = frontier.pop()
+            for step in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+                if (
+                    0 <= step[0] < rows and 0 <= step[1] < cols
+                    and step not in seen and step not in dead
+                    and frozenset((node, step)) not in dead_edges
+                ):
+                    seen.add(step)
+                    frontier.append(step)
+        return seen
+
+    # Check with the links down, then again once the routers fail too: the
+    # second round must not be served from the first round's memo.
+    for dead in (set(), set(dead_routers)):
+        for node in dead:
+            degraded.set_router(node, down=True)
+        per_fc = [
+            reachable(network.injection_points(fc), dead) for fc in range(fc_count)
+        ]
+        anywhere = set().union(*per_fc)
+        for node in network.routers:
+            assert degraded.is_partitioned(node) == (node not in anywhere)
+            for fc in range(fc_count):
+                assert degraded.fc_can_reach(fc, node) == (node in per_fc[fc])
