@@ -1,9 +1,12 @@
 """Flash controller layer: transactions and their service pipeline.
 
 The flash controller (paper §2.2) sits between the FTL and the flash chips:
-it issues commands over the communication fabric, runs the ECC
-pipeline, and serialises die occupancy.  The transaction service processes
-here are fabric-agnostic -- the same pipeline drives all six designs.
+it carries each flash transaction's command and data over the communication
+fabric, runs the ECC pipeline, serialises die occupancy, and hands the
+transaction's kind and addresses to the die, which executes them.  A
+:class:`FlashTransaction` is the one record of an operation from the FTL
+to the die.  The transaction service processes here are fabric-agnostic --
+the same pipeline drives all six designs.
 """
 
 from repro.controller.transaction import (

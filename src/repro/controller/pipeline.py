@@ -20,7 +20,7 @@ from repro.config.ssd_config import SsdConfig
 from repro.controller.ecc import EccEngine
 from repro.controller.transaction import FlashTransaction, TransactionKind
 from repro.errors import SimulationError
-from repro.interconnect.base import Fabric, TransferOutcome
+from repro.interconnect.base import Fabric
 from repro.nand.array import FlashArray
 from repro.sim.engine import Engine
 
@@ -35,15 +35,12 @@ class TransactionPipeline:
         array: FlashArray,
         fabric: Fabric,
         ecc: Optional[EccEngine] = None,
-        strict_reads: bool = False,
     ) -> None:
         self.engine = engine
         self.config = config
         self.array = array
         self.fabric = fabric
         self.ecc = ecc if ecc is not None else EccEngine(config.ecc_latency_ns)
-        self.strict_reads = strict_reads
-        self.transactions_completed = 0
         self.reads_completed = 0
         self.programs_completed = 0
         self.erases_completed = 0
@@ -68,7 +65,6 @@ class TransactionPipeline:
         kind = transaction.kind
         if kind is TransactionKind.READ:
             die = self.array.die_for(transaction.primary)
-            command = transaction.to_command()
             die_requested = engine.now
             die_lease = yield die.resource.acquire()
             transaction.die_wait_ns += engine.now - die_requested
@@ -78,14 +74,15 @@ class TransactionPipeline:
             outcome = yield from self.fabric.transfer(
                 transaction.chip, 0, include_command=True
             )
-            self._absorb(transaction, outcome)
+            if outcome.conflicted:
+                transaction.path_conflict = True
 
-            operation_ns = die.operation_latency_ns(command)
+            operation_ns = die.operation_latency_ns(kind)
             if die.failed:
                 operation_ns *= 1 + self.ecc.max_retries
                 self.degraded_ops += 1
             yield operation_ns
-            die.apply_command(command, strict_reads=self.strict_reads)
+            die.apply(kind, transaction.addresses)
             die_lease.release()
 
             # Data-out phase: a second path traversal (Venice reserves a
@@ -93,7 +90,8 @@ class TransactionPipeline:
             outcome = yield from self.fabric.transfer(
                 transaction.chip, transaction.payload_bytes, include_command=False
             )
-            self._absorb(transaction, outcome)
+            if outcome.conflicted:
+                transaction.path_conflict = True
 
             decode = self.ecc.decode_latency_ns(transaction.plane_count)
             if decode:
@@ -101,7 +99,6 @@ class TransactionPipeline:
             self.reads_completed += 1
         elif kind is TransactionKind.PROGRAM:
             die = self.array.die_for(transaction.primary)
-            command = transaction.to_command()
 
             encode = self.ecc.encode_latency_ns(transaction.plane_count)
             if encode:
@@ -114,14 +111,15 @@ class TransactionPipeline:
             outcome = yield from self.fabric.transfer(
                 transaction.chip, transaction.payload_bytes, include_command=True
             )
-            self._absorb(transaction, outcome)
+            if outcome.conflicted:
+                transaction.path_conflict = True
 
-            operation_ns = die.operation_latency_ns(command)
+            operation_ns = die.operation_latency_ns(kind)
             if die.failed:
                 operation_ns *= 2
                 self.degraded_ops += 1
             yield operation_ns
-            die.apply_command(command)
+            die.apply(kind, transaction.addresses)
             die_lease.release()
             self.programs_completed += 1
         elif kind is TransactionKind.ERASE:
@@ -130,19 +128,12 @@ class TransactionPipeline:
         else:  # pragma: no cover - exhaustive enum
             raise SimulationError(f"unknown transaction kind {transaction.kind}")
         transaction.completed_at = self.engine.now
-        self.transactions_completed += 1
         return transaction
 
     # ------------------------------------------------------------------ #
 
-    def _absorb(self, transaction: FlashTransaction, outcome: TransferOutcome) -> None:
-        transaction.waited_for_path = transaction.waited_for_path or outcome.waited
-        transaction.path_conflict = transaction.path_conflict or outcome.conflicted
-        transaction.hops_used = max(transaction.hops_used, outcome.hops)
-
     def _service_erase(self, transaction: FlashTransaction) -> Generator:
         die = self.array.die_for(transaction.primary)
-        command = transaction.to_command()
 
         die_requested = self.engine.now
         die_lease = yield die.resource.acquire()
@@ -151,12 +142,13 @@ class TransactionPipeline:
         outcome = yield from self.fabric.transfer(
             transaction.chip, 0, include_command=True
         )
-        self._absorb(transaction, outcome)
+        if outcome.conflicted:
+            transaction.path_conflict = True
 
-        operation_ns = die.operation_latency_ns(command)
+        operation_ns = die.operation_latency_ns(TransactionKind.ERASE)
         if die.failed:
             operation_ns *= 2
             self.degraded_ops += 1
         yield operation_ns
-        die.apply_command(command)
+        die.apply(TransactionKind.ERASE, transaction.addresses)
         die_lease.release()

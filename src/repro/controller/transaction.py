@@ -3,25 +3,12 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.nand.address import ChipAddress, PhysicalPageAddress
-from repro.nand.commands import FlashCommand, FlashCommandKind
-
-_transaction_ids = itertools.count()
-
-
-class TransactionKind(enum.Enum):
-    READ = "read"
-    PROGRAM = "program"
-    ERASE = "erase"
-
-    @property
-    def command_kind(self) -> FlashCommandKind:
-        return FlashCommandKind(self.value)
+from repro.nand.chip import TransactionKind
 
 
 class TransactionSource(enum.Enum):
@@ -35,24 +22,23 @@ class TransactionSource(enum.Enum):
 class FlashTransaction:
     """One die-level operation travelling through the SSD.
 
-    ``addresses`` carries one entry per plane (multi-plane operations bundle
-    several same-offset pages, §2.1).  ``payload_bytes`` is the total data
-    moved over the fabric -- page size times plane count for reads/programs,
-    zero for erases.
+    It is the one record of the operation from the FTL to the die, which
+    executes its ``kind`` on its ``addresses``.  ``addresses`` carries one
+    entry per plane (multi-plane operations bundle several same-offset
+    pages, §2.1).  ``payload_bytes`` is the total data moved over the
+    fabric -- page size times plane count for reads/programs, zero for
+    erases.
     """
 
     kind: TransactionKind
     addresses: List[PhysicalPageAddress]
     payload_bytes: int
     source: TransactionSource = TransactionSource.HOST
-    transaction_id: int = field(default_factory=lambda: next(_transaction_ids))
     # filled in by the pipeline
     issued_at: Optional[int] = None
     completed_at: Optional[int] = None
-    waited_for_path: bool = False
     path_conflict: bool = False
     die_wait_ns: int = 0
-    hops_used: int = 0
 
     def __post_init__(self) -> None:
         if not self.addresses:
@@ -88,13 +74,10 @@ class FlashTransaction:
             return None
         return self.completed_at - self.issued_at
 
-    def to_command(self) -> FlashCommand:
-        return FlashCommand(self.kind.command_kind, list(self.addresses))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         a = self.primary
         return (
-            f"Txn#{self.transaction_id}({self.kind.value}, "
+            f"Txn({self.kind.value}, "
             f"chip=({a.chip.channel},{a.chip.way}), planes={self.plane_count}, "
             f"src={self.source.value})"
         )

@@ -129,7 +129,6 @@ def suggest_token_bucket(
     scale: Optional[ExperimentScale] = None,
     *,
     headroom: float = 1.0,
-    burst: float = DEFAULT_BUCKET_BURST,
 ) -> str:
     """A canonical fair-share token-bucket policy for this workload/scale.
 
@@ -139,7 +138,7 @@ def suggest_token_bucket(
     """
     scale = scale or qos_scale()
     rate = fair_share_rate(preset, workload, scale) * float(headroom)
-    return canonical_qos(f"token-bucket:{rate:g},{burst:g}")
+    return canonical_qos(f"token-bucket:{rate:g},{DEFAULT_BUCKET_BURST:g}")
 
 
 def default_policies(

@@ -70,8 +70,6 @@ def run_design_suite(
     trace: Trace,
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
-    *,
-    with_cdf: bool = False,
     **device_kwargs,
 ) -> Dict[str, RunResult]:
     """Run one materialized trace across a set of designs; key by design name.
@@ -84,7 +82,7 @@ def run_design_suite(
         if not supports_geometry(design, config):
             continue
         results[design.value] = run_workload_on(
-            design, config, trace, scale, with_cdf=with_cdf, **device_kwargs
+            design, config, trace, scale, **device_kwargs
         )
     return results
 
@@ -95,7 +93,6 @@ def run_suite(
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    with_cdf: bool = False,
     executor=None,
     store=None,
     **device_kwargs: Scalar,
@@ -106,8 +103,6 @@ def run_suite(
     Table 3 mix), executes it through the (possibly parallel) executor with
     store-backed caching, and returns results keyed by design name.
     """
-    specs = matrix_specs(
-        preset, (workload,), scale, designs, with_cdf=with_cdf, **device_kwargs
-    )
+    specs = matrix_specs(preset, (workload,), scale, designs, **device_kwargs)
     results = execute_specs(specs, executor=executor, store=store)
     return {spec.design: results[spec] for spec in specs}

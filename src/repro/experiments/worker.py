@@ -216,19 +216,11 @@ class QueueExecutor(Executor):
     """
 
     def __init__(
-        self,
-        queue: WorkQueue,
-        *,
-        owner: Optional[str] = None,
-        poll_interval: float = 0.2,
-        timeout: Optional[float] = None,
+        self, queue: WorkQueue, *, timeout: Optional[float] = None
     ) -> None:
         super().__init__(timeout=timeout)
         self.queue = queue
-        self.poll_interval = poll_interval
-        self.worker = QueueWorker(
-            queue, owner=owner, timeout=timeout, poll_interval=poll_interval
-        )
+        self.worker = QueueWorker(queue, timeout=timeout)
 
     def run(
         self,
@@ -257,7 +249,7 @@ class QueueExecutor(Executor):
             ):
                 # Nothing claimable right now (other workers hold leases,
                 # or retries are backing off): wait a beat.
-                time.sleep(self.poll_interval)
+                time.sleep(self.worker.poll_interval)
         dead = self.queue.dead_letters()
         results: List[Optional[RunResult]] = []
         failures: List[SpecRunError] = []

@@ -58,7 +58,6 @@ class GarbageCollector:
         mapping: MappingTable,
         allocator: PageAllocator,
         pipeline: TransactionPipeline,
-        policy: Optional[GcPolicy] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -66,7 +65,7 @@ class GarbageCollector:
         self.mapping = mapping
         self.allocator = allocator
         self.pipeline = pipeline
-        self.policy = policy or GcPolicy(
+        self.policy = GcPolicy(
             threshold_free_fraction=config.gc_threshold_free_fraction,
             stop_free_fraction=config.gc_stop_free_fraction,
         )

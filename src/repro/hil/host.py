@@ -31,8 +31,6 @@ class TraceReplayHost:
         self.engine = engine
         self.queue_pairs = queue_pairs
         self.doorbell = doorbell
-        self.requests_submitted = 0
-        self.finished = False
 
     def replay(
         self,
@@ -59,10 +57,7 @@ class TraceReplayHost:
                 # SQ full: a real host would retry on the next doorbell
                 # interrupt; back off one microsecond.
                 if stop is not None and stop():
-                    self.finished = True
                     return
                 yield 1_000
             request.submitted_ns = self.engine.now
-            self.requests_submitted += 1
             self.doorbell()
-        self.finished = True

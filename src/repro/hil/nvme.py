@@ -1,36 +1,23 @@
-"""NVMe-style submission/completion queue pairs.
+"""NVMe-style submission queues.
 
 NVMe "directly exposes multiple SSD I/O queues to the host" (paper §2.2):
-the host posts requests to a Submission Queue; the device fetches them,
-services them, and posts a Completion Queue entry the host consumes.  The
-model keeps the doorbell/fetch mechanics and per-queue accounting while the
-device layer decides fetch order and concurrency.
+the host posts requests to a Submission Queue and the device fetches them.
+The model keeps the doorbell/fetch mechanics and the queue depth limit; the
+device layer decides fetch order and concurrency, and stamps each request's
+completion time on the request itself when it finishes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.errors import ConfigurationError
 from repro.hil.request import IoRequest
 
 
-@dataclass
-class CompletionRecord:
-    """One completion queue entry."""
-
-    request: IoRequest
-    completed_ns: int
-
-    @property
-    def latency_ns(self) -> int:
-        return self.completed_ns - self.request.arrival_ns
-
-
 class NvmeQueuePair:
-    """One submission queue + completion queue pair."""
+    """One submission queue of a submission/completion queue pair."""
 
     def __init__(self, queue_id: int, depth: int = 1024) -> None:
         if depth < 1:
@@ -38,51 +25,20 @@ class NvmeQueuePair:
         self.queue_id = queue_id
         self.depth = depth
         self._submission: Deque[IoRequest] = deque()
-        self.completions: List[CompletionRecord] = []
-        self.submitted = 0
-        self.fetched = 0
-        self.completed = 0
-        self.full_rejections = 0
-
-    # ------------------------------------------------------------------ #
 
     def submit(self, request: IoRequest) -> bool:
         """Host posts a request; False if the SQ is full (host must retry)."""
         if len(self._submission) >= self.depth:
-            self.full_rejections += 1
             return False
         request.queue_id = self.queue_id
         self._submission.append(request)
-        self.submitted += 1
         return True
 
     def fetch(self) -> Optional[IoRequest]:
         """Device fetches the head submission entry."""
         if not self._submission:
             return None
-        self.fetched += 1
         return self._submission.popleft()
 
-    def complete(self, request: IoRequest, now_ns: int) -> CompletionRecord:
-        """Device posts a completion entry."""
-        request.completed_ns = now_ns
-        record = CompletionRecord(request=request, completed_ns=now_ns)
-        self.completions.append(record)
-        self.completed += 1
-        return record
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def pending(self) -> int:
-        return len(self._submission)
-
-    @property
-    def in_flight(self) -> int:
-        return self.fetched - self.completed
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NvmeQueuePair(q{self.queue_id}, pending={self.pending}, "
-            f"in_flight={self.in_flight})"
-        )
+        return f"NvmeQueuePair(q{self.queue_id}, pending={len(self._submission)})"

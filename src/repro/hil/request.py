@@ -42,9 +42,7 @@ class IoRequest:
     # filled during service
     submitted_ns: Optional[int] = None
     completed_ns: Optional[int] = None
-    transactions_total: int = 0
     path_conflict: bool = False
-    waited_for_path: bool = False
 
     def __post_init__(self) -> None:
         if self.offset_bytes < 0:
@@ -59,9 +57,7 @@ class IoRequest:
         devices (the figure harness runs every design over the same trace)."""
         self.submitted_ns = None
         self.completed_ns = None
-        self.transactions_total = 0
         self.path_conflict = False
-        self.waited_for_path = False
 
     @property
     def is_read(self) -> bool:

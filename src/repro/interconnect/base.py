@@ -13,8 +13,8 @@ reservation -- hides behind :meth:`Fabric.transfer`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from dataclasses import dataclass
+from typing import Generator
 
 from repro.config.ssd_config import DesignKind, SsdConfig
 from repro.nand.address import ChipAddress
@@ -29,18 +29,17 @@ class TransferOutcome:
         "conflicted",
         "start_ns",
         "end_ns",
-        "hops",
         "fc_index",
         "scout_attempts",
     )
 
     def __init__(
         self,
+        *,
         waited: bool,  # the transfer had to queue for a path resource
         conflicted: bool,  # design-specific path-conflict flag (see DESIGN.md)
         start_ns: int,
         end_ns: int,
-        hops: int,  # links traversed (1 for bus designs); energy accounting
         fc_index: int,  # flash controller that serviced the transfer
         scout_attempts: int = 0,  # Venice only: reservation attempts used
     ) -> None:
@@ -48,7 +47,6 @@ class TransferOutcome:
         self.conflicted = conflicted
         self.start_ns = start_ns
         self.end_ns = end_ns
-        self.hops = hops
         self.fc_index = fc_index
         self.scout_attempts = scout_attempts
 
@@ -59,7 +57,7 @@ class TransferOutcome:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TransferOutcome(waited={self.waited}, conflicted={self.conflicted}, "
-            f"start_ns={self.start_ns}, end_ns={self.end_ns}, hops={self.hops}, "
+            f"start_ns={self.start_ns}, end_ns={self.end_ns}, "
             f"fc_index={self.fc_index}, scout_attempts={self.scout_attempts})"
         )
 
@@ -70,27 +68,18 @@ class FabricStats:
 
     transfers: int = 0
     conflicted_transfers: int = 0
-    waited_transfers: int = 0
     blocked_transfers: int = 0  # transfers that stalled on a failed component
-    bytes_moved: int = 0
     channel_busy_ns: int = 0  # sum over channels/buses of busy time
     link_hop_busy_ns: int = 0  # sum over mesh links of busy time
     router_active_ns: int = 0  # sum over routers of circuit-held time
     scout_attempts_total: int = 0
     scout_failures_total: int = 0
-    per_fc_transfers: Dict[int, int] = field(default_factory=dict)
 
-    def record(self, outcome: TransferOutcome, payload_bytes: int) -> None:
+    def record(self, outcome: TransferOutcome) -> None:
         self.transfers += 1
-        self.bytes_moved += payload_bytes
         if outcome.conflicted:
             self.conflicted_transfers += 1
-        if outcome.waited:
-            self.waited_transfers += 1
         self.scout_attempts_total += outcome.scout_attempts
-        self.per_fc_transfers[outcome.fc_index] = (
-            self.per_fc_transfers.get(outcome.fc_index, 0) + 1
-        )
 
 
 class Fabric(abc.ABC):
@@ -161,9 +150,6 @@ class Fabric(abc.ABC):
     def command_ns(self, include_command: bool) -> int:
         return self.config.timings.command_ns if include_command else 0
 
-    def _record(self, outcome: TransferOutcome, payload_bytes: int) -> None:
-        self.stats.record(outcome, payload_bytes)
-
     @property
     def conflict_fraction(self) -> float:
         if self.stats.transfers == 0:
@@ -173,24 +159,3 @@ class Fabric(abc.ABC):
     def describe(self) -> str:
         return f"{type(self).__name__}({self.design.value})"
 
-
-def make_outcome(
-    *,
-    waited: bool,
-    conflicted: bool,
-    start_ns: int,
-    end_ns: int,
-    hops: int,
-    fc_index: int,
-    scout_attempts: int = 0,
-) -> TransferOutcome:
-    """Keyword-only constructor to keep call sites self-documenting."""
-    return TransferOutcome(
-        waited=waited,
-        conflicted=conflicted,
-        start_ns=start_ns,
-        end_ns=end_ns,
-        hops=hops,
-        fc_index=fc_index,
-        scout_attempts=scout_attempts,
-    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.config.ssd_config import DesignKind, SsdConfig
-from repro.interconnect.base import Fabric, make_outcome
+from repro.interconnect.base import Fabric, TransferOutcome
 from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -54,14 +54,13 @@ class IdealFabric(Fabric):
         lease.release()
         # Waiting on the chip's own port is chip busyness, never a path
         # conflict: the path itself is dedicated.
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=lease.waited,
             conflicted=False,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=1,
             fc_index=chip.channel,
         )
         self.stats.channel_busy_ns += occupancy
-        self._record(outcome, payload_bytes)
+        self.stats.record(outcome)
         return outcome

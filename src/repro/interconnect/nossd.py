@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Set, Tuple
 
 from repro.config.ssd_config import DesignKind, SsdConfig
-from repro.interconnect.base import Fabric, make_outcome
+from repro.interconnect.base import Fabric, TransferOutcome
 from repro.interconnect.topology import Coord, MeshTopology, xy_path
 from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
@@ -210,16 +210,14 @@ class NossdFabric(Fabric):
         # The tail drains into the destination once the head has arrived.
         yield serialization
 
-        hops = path_nodes + 1  # mesh links plus the ejection hop
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=waited or eject_waited,
             conflicted=waited,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=hops,
             fc_index=fc_index,
         )
         self.stats.link_hop_busy_ns += serialization * max(1, path_nodes - 1)
         self.stats.router_active_ns += serialization * path_nodes
-        self._record(outcome, payload_bytes)
+        self.stats.record(outcome)
         return outcome

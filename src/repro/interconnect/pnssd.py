@@ -22,7 +22,7 @@ from typing import Generator, List, Set
 
 from repro.config.ssd_config import DesignKind, SsdConfig
 from repro.errors import ConfigurationError
-from repro.interconnect.base import Fabric, make_outcome
+from repro.interconnect.base import Fabric, TransferOutcome
 from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -153,14 +153,13 @@ class PnssdFabric(Fabric):
         if occupancy:
             yield occupancy
         lease.release()
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=lease.waited or fault_waited,
             conflicted=lease.waited or fault_waited,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=1,
             fc_index=fc_index,
         )
         self.stats.channel_busy_ns += occupancy
-        self._record(outcome, payload_bytes)
+        self.stats.record(outcome)
         return outcome

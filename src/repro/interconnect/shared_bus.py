@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Generator, List, Set
 
 from repro.config.ssd_config import DesignKind, SsdConfig
-from repro.interconnect.base import Fabric, TransferOutcome, make_outcome
+from repro.interconnect.base import Fabric, TransferOutcome
 from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -112,16 +112,15 @@ class BaselineFabric(Fabric):
         if occupancy:
             yield occupancy
         lease.release()
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=lease.waited or fault_waited,
             conflicted=lease.waited or fault_waited,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=1,
             fc_index=chip.channel,
         )
         self.stats.channel_busy_ns += occupancy
-        self._record(outcome, payload_bytes)
+        self.stats.record(outcome)
         return outcome
 
 

@@ -122,12 +122,6 @@ class MeshTopology:
     def manhattan(self, a: Coord, b: Coord) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
-    def direction_between(self, a: Coord, b: Coord) -> Direction:
-        for direction in MESH_DIRECTIONS:
-            if self.neighbor(a, direction) == b:
-                return direction
-        raise RoutingError(f"{a} and {b} are not mesh neighbors")
-
 
 def xy_path(topology: MeshTopology, source: Coord, destination: Coord) -> List[Coord]:
     """Dimension-order (X then Y) route, inclusive of both endpoints.

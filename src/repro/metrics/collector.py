@@ -151,14 +151,11 @@ class MetricsCollector:
             exact_stats_default() if exact_stats is None else bool(exact_stats)
         )
         self.latencies = LatencyRecorder(exact=self.exact_stats)
-        self.read_latencies = LatencyRecorder(exact=self.exact_stats)
-        self.write_latencies = LatencyRecorder(exact=self.exact_stats)
         self.track_tenants = bool(track_tenants)
         self.tenant_latencies: Dict[int, LatencyRecorder] = {}
         self.requests_completed = 0
         self.reads_completed = 0
         self.conflicted_requests = 0
-        self.waited_requests = 0
         self.first_arrival_ns: Optional[int] = None
         self.last_completion_ns: int = 0
 
@@ -176,13 +173,8 @@ class MetricsCollector:
             recorder.record(latency)
         if request.is_read:
             self.reads_completed += 1
-            self.read_latencies.record(latency)
-        else:
-            self.write_latencies.record(latency)
         if request.path_conflict:
             self.conflicted_requests += 1
-        if request.waited_for_path:
-            self.waited_requests += 1
         if self.first_arrival_ns is None or request.arrival_ns < self.first_arrival_ns:
             self.first_arrival_ns = request.arrival_ns
         assert request.completed_ns is not None

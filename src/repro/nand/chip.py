@@ -17,14 +17,21 @@ and a die ``Resource`` but never touches the event loop itself beyond that.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.config.ssd_config import NandGeometry, NandTimings
 from repro.errors import NandProtocolError
 from repro.nand.address import ChipAddress, PhysicalPageAddress
-from repro.nand.commands import FlashCommand, FlashCommandKind
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
+
+
+class TransactionKind(enum.Enum):
+    """The three NAND operations a flash transaction carries to its die."""
+
+    READ = "read"
+    PROGRAM = "program"
+    ERASE = "erase"
 
 
 class PageState(enum.Enum):
@@ -286,7 +293,7 @@ class FlashBlock:
 class FlashPlane:
     """A plane: blocks_per_plane blocks sharing sense amplifiers."""
 
-    __slots__ = ("index", "blocks", "reads", "programs", "erases", "_allocated")
+    __slots__ = ("index", "blocks", "_allocated")
 
     def __init__(self, index: int, geometry: NandGeometry) -> None:
         self.index = index
@@ -296,9 +303,6 @@ class FlashPlane:
             FlashBlock(block, geometry.pages_per_block, self._allocated)
             for block in range(geometry.blocks_per_plane)
         ]
-        self.reads = 0
-        self.programs = 0
-        self.erases = 0
 
     def block(self, index: int) -> FlashBlock:
         """The block at ``index`` within this plane."""
@@ -351,32 +355,30 @@ class FlashDie:
         self.resource = Resource(
             engine, f"die({chip_address.channel},{chip_address.way},{die_index})"
         )
-        self.commands_executed = 0
         # Fault injection: a failed die still services commands (the
         # simulator models latency, not data loss) but every operation takes
         # the degraded retry path -- see TransactionPipeline and DESIGN.md §7.
         self.failed = False
 
-    def operation_latency_ns(self, command: FlashCommand) -> int:
-        """Latency of executing the command on this die.
+    def operation_latency_ns(self, kind: TransactionKind) -> int:
+        """Latency of one operation of ``kind`` on this die.
 
         Multi-plane operations complete in the latency of a single operation
         -- that is their whole point (§2.1).
         """
-        if command.kind is FlashCommandKind.READ:
+        if kind is TransactionKind.READ:
             return self.timings.read_ns
-        if command.kind is FlashCommandKind.PROGRAM:
+        if kind is TransactionKind.PROGRAM:
             return self.timings.program_ns
         return self.timings.erase_ns
 
-    def validate_command(self, command: FlashCommand) -> None:
-        """Reject a command this die cannot legally execute.
+    def validate(self, addresses: Sequence[PhysicalPageAddress]) -> None:
+        """Reject a command on ``addresses`` this die cannot legally execute.
 
         Every address must lie in the geometry and on this die; a
         multi-plane command must name distinct planes at one shared
         block/page offset (§2.1).
         """
-        addresses = command.addresses
         if not addresses:
             raise NandProtocolError("command with no addresses")
         if len(addresses) == 1:
@@ -390,9 +392,9 @@ class FlashDie:
                     f"{self.chip_address}/{self.index}"
                 )
             return
-        primary = command.primary
+        primary = addresses[0]
         seen_planes = set()
-        for address in command.addresses:
+        for address in addresses:
             address.validate(self.geometry)
             if address.chip != self.chip_address or address.die != self.index:
                 raise NandProtocolError(
@@ -401,28 +403,28 @@ class FlashDie:
             if address.plane in seen_planes:
                 raise NandProtocolError("duplicate plane in multi-plane command")
             seen_planes.add(address.plane)
-            if command.is_multi_plane and (
-                address.block != primary.block or address.page != primary.page
-            ):
+            if address.block != primary.block or address.page != primary.page:
                 raise NandProtocolError(
                     "multi-plane command addresses must share block/page offset"
                 )
 
-    def apply_command(self, command: FlashCommand, strict_reads: bool = False) -> None:
-        """Mutate plane/block/page state according to the command."""
-        self.validate_command(command)
-        self.commands_executed += 1
-        for address in command.addresses:
-            plane = self.planes[address.plane]
-            block = plane.block(address.block)
-            if command.kind is FlashCommandKind.READ:
-                plane.reads += 1
-                block.read_page(address.page, strict=strict_reads)
-            elif command.kind is FlashCommandKind.PROGRAM:
-                plane.programs += 1
+    def apply(
+        self, kind: TransactionKind, addresses: Sequence[PhysicalPageAddress]
+    ) -> None:
+        """Mutate plane/block/page state according to the command.
+
+        A read senses data and changes no page state, so it is only
+        validated.
+        """
+        self.validate(addresses)
+        if kind is TransactionKind.READ:
+            return
+        planes = self.planes
+        for address in addresses:
+            block = planes[address.plane].blocks[address.block]
+            if kind is TransactionKind.PROGRAM:
                 block.program_page(address.page)
             else:
-                plane.erases += 1
                 block.erase()
 
 

@@ -226,7 +226,6 @@ class SsdDevice:
                 self.write_stalls += 1
                 self.write_stall_ns += self._write_stall_pause_ns
                 yield self._write_stall_pause_ns
-        request.transactions_total = len(transactions)
 
         processes = [
             self.engine.process(self.pipeline.service(transaction), name="txn")
@@ -236,13 +235,10 @@ class SsdDevice:
             yield process
 
         for transaction in transactions:
-            request.path_conflict = request.path_conflict or transaction.path_conflict
-            request.waited_for_path = (
-                request.waited_for_path or transaction.waited_for_path
-            )
+            if transaction.path_conflict:
+                request.path_conflict = True
 
-        queue = self.queues[request.queue_id % len(self.queues)]
-        queue.complete(request, self.engine.now)
+        request.completed_ns = self.engine.now
         self.metrics.record_request(request)
         if (self._monitor is not None and not self._halted
                 and self._monitor.observe()):

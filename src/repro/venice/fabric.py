@@ -15,8 +15,8 @@ For each transfer phase the fabric:
 
 Path-conflict accounting follows §6.3: a transfer "experiences a path
 conflict" iff its *first* scout attempt fails.  Waiting for a free flash
-controller is tracked separately (``fc_waits``) -- the paper lists it as a
-distinct reason a reservation cannot start.
+controller only marks the transfer as having waited -- the paper lists it as
+a distinct reason a reservation cannot start, not a path conflict.
 
 Controller occupancy: an FC is busy only while its scout is in flight (the
 packet-id field limits each controller to one outstanding scout, §4.2); the
@@ -32,7 +32,7 @@ from typing import Generator, List, Tuple
 
 from repro.config.ssd_config import DesignKind, SsdConfig
 from repro.errors import ReservationError, RoutingError
-from repro.interconnect.base import Fabric, make_outcome
+from repro.interconnect.base import Fabric, TransferOutcome
 from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
 from repro.sim.resources import ResourcePool
@@ -60,8 +60,6 @@ class VeniceFabric(Fabric):
         self.dest_bits = required_dest_bits(config.geometry.total_chips)
         self.fc_bits = required_fc_bits(config.flash_controllers)
         # accounting beyond FabricStats
-        self.fc_waits = 0
-        self.retries_exhausted = 0
         self.circuit_hops_total = 0
         self.circuits_completed = 0
         self.active_circuits_per_fc: List[int] = [0] * config.flash_controllers
@@ -204,15 +202,14 @@ class VeniceFabric(Fabric):
         per_hop = interconnect.link_cycle_ns + interconnect.router_pipeline_ns
         latency = self.command_ns(True) + max(1, round(hops * per_hop))
         yield latency
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=False,
             conflicted=False,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=hops,
             fc_index=home,
         )
-        self._record(outcome, 0)
+        self.stats.record(outcome)
         return outcome
 
     def transfer(
@@ -242,8 +239,6 @@ class VeniceFabric(Fabric):
         else:
             fc_index, fc_lease = yield self.fc_pool.acquire_preferring(preference)
         fc_waited = fc_lease.waited
-        if fc_waited:
-            self.fc_waits += 1
 
         packet = ScoutPacket(
             destination_chip=chip.flat_index(self.config.geometry),
@@ -360,16 +355,15 @@ class VeniceFabric(Fabric):
         self.stats.router_active_ns += occupancy * len(circuit.nodes)
 
         conflicted = first_attempt_failed
-        outcome = make_outcome(
+        outcome = TransferOutcome(
             waited=fc_waited or conflicted or chip_busy_wait,
             conflicted=conflicted,
             start_ns=start,
             end_ns=self.engine.now,
-            hops=circuit.total_hops,
             fc_index=fc_index,
             scout_attempts=total_attempts,
         )
-        self._record(outcome, payload_bytes)
+        self.stats.record(outcome)
         return outcome
 
     # ------------------------------------------------------------------ #

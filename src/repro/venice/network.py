@@ -114,9 +114,12 @@ class VeniceNetwork:
     unbounded misroute budget lets saturated meshes degenerate into long
     link-hogging circuits that destroy concurrency.  The bound is an
     explicit policy knob (ablated in benchmarks/bench_ablation.py).
-    ``max_scout_steps`` caps the total walk length as a simulation-cost
-    guard; a scout that long is failing anyway and the FC would re-send it.
     """
+
+    #: Cap on one scout's walk length (forward moves plus backtracks), a
+    #: simulation-cost guard: a scout that long is failing anyway and the
+    #: FC would re-send it.
+    MAX_SCOUT_STEPS = 256
 
     #: Column stride of the flash controllers' injection drops.  Venice
     #: reuses the former shared channel's multi-drop PCB routes as
@@ -136,10 +139,8 @@ class VeniceNetwork:
         fc_count: int,
         lfsr_seed: int = 1,
         max_misroutes: int = 2,
-        max_scout_steps: int = 256,
     ) -> None:
         self.max_misroutes = max_misroutes
-        self.max_scout_steps = max_scout_steps
         self.topology = MeshTopology(rows, cols)
         self.fc_count = fc_count
         self.injection_cols = tuple(range(0, cols, self.INJECTION_STRIDE))
@@ -324,7 +325,7 @@ class VeniceNetwork:
         misroutes = 0
 
         while True:
-            if forward_moves + backtracks > self.max_scout_steps:
+            if forward_moves + backtracks > self.MAX_SCOUT_STEPS:
                 # Walk-length guard: unwind everything and report failure.
                 while stack:
                     frame = stack.pop()

@@ -88,10 +88,8 @@ class Trace:
         return Trace(name or f"{self.name}@x{factor:.3g}", scaled)
 
 
-def trace_from_rows(
-    name: str, rows: Iterable[Sequence], *, time_unit_ns: int = 1
-) -> Trace:
-    """Build a trace from ``(arrival, kind, offset, size)`` rows."""
+def trace_from_rows(name: str, rows: Iterable[Sequence]) -> Trace:
+    """Build a trace from ``(arrival_ns, kind, offset, size)`` rows."""
     requests = []
     for row in rows:
         if len(row) != 4:
@@ -102,7 +100,7 @@ def trace_from_rows(
                 kind=kind if isinstance(kind, IoKind) else IoKind.from_str(str(kind)),
                 offset_bytes=int(offset),
                 size_bytes=int(size),
-                arrival_ns=int(arrival) * time_unit_ns,
+                arrival_ns=int(arrival),
             )
         )
     return Trace(name, requests)

@@ -42,13 +42,13 @@ def test_request_latency_requires_completion():
 
 def test_reset_service_state():
     r = request()
+    r.submitted_ns = 50
     r.completed_ns = 100
     r.path_conflict = True
-    r.transactions_total = 5
     r.reset_service_state()
+    assert r.submitted_ns is None
     assert r.completed_ns is None
     assert not r.path_conflict
-    assert r.transactions_total == 0
 
 
 def test_queue_pair_fifo_fetch():
@@ -63,28 +63,14 @@ def test_queue_pair_fifo_fetch():
 
 def test_queue_pair_depth_limit():
     queue = NvmeQueuePair(0, depth=1)
-    assert queue.submit(request())
-    assert not queue.submit(request())
-    assert queue.full_rejections == 1
-
-
-def test_queue_pair_completion_records_latency():
-    queue = NvmeQueuePair(0)
-    r = request(arrival=50)
-    queue.submit(r)
-    queue.fetch()
-    record = queue.complete(r, now_ns=250)
-    assert record.latency_ns == 200
-    assert queue.in_flight == 0
-    assert queue.completed == 1
-
-
-def test_queue_pair_in_flight_accounting():
-    queue = NvmeQueuePair(0)
-    r = request()
-    queue.submit(r)
-    queue.fetch()
-    assert queue.in_flight == 1
+    first, second = request(), request()
+    assert queue.submit(first)
+    assert not queue.submit(second)
+    assert queue.fetch() is first
+    # A fetch frees the slot, and the rejected request was never queued.
+    assert queue.submit(second)
+    assert queue.fetch() is second
+    assert queue.fetch() is None
 
 
 def test_queue_depth_validation():
@@ -102,7 +88,7 @@ def test_replay_submits_at_arrival_times():
     engine.run()
     assert doorbells == [100, 300, 700]
     assert [r.submitted_ns for r in requests] == [100, 300, 700]
-    assert host.finished
+    assert [queue.fetch() for _ in requests] == requests
 
 
 def test_replay_sorts_out_of_order_arrivals():
@@ -119,11 +105,14 @@ def test_replay_round_robins_queue_ids():
     engine = Engine()
     queues = [NvmeQueuePair(0), NvmeQueuePair(1)]
     host = TraceReplayHost(engine, queues, lambda: None)
-    requests = [request(arrival=i, queue_id=i % 2) for i in range(4)]
+    # Requester ids fold onto the queue pairs; submit stamps the pair's id.
+    requests = [request(arrival=i, queue_id=i) for i in range(4)]
     engine.process(host.replay(requests))
     engine.run()
-    assert queues[0].submitted == 2
-    assert queues[1].submitted == 2
+    assert [r.queue_id for r in requests] == [0, 1, 0, 1]
+    assert [queues[0].fetch(), queues[0].fetch()] == requests[0::2]
+    assert [queues[1].fetch(), queues[1].fetch()] == requests[1::2]
+    assert queues[0].fetch() is None and queues[1].fetch() is None
 
 
 def test_replay_backs_off_when_queue_full():
@@ -135,8 +124,9 @@ def test_replay_backs_off_when_queue_full():
     # Drain the queue after a while so the host's retry can succeed.
     engine.schedule(5_000, lambda: queue.fetch())
     engine.run()
-    assert queue.submitted == 2
-    assert queue.full_rejections >= 1
+    assert requests[0].submitted_ns == 0
+    assert requests[1].submitted_ns >= 5_000
+    assert queue.fetch() is requests[1]
 
 
 def test_host_requires_a_queue():

@@ -79,12 +79,6 @@ def test_edge_key_self_loop_rejected():
         edge_key((1, 1), (1, 1))
 
 
-def test_direction_between():
-    assert MESH.direction_between((2, 2), (2, 3)) is Direction.RIGHT
-    with pytest.raises(RoutingError):
-        MESH.direction_between((0, 0), (5, 5))
-
-
 coords = st.tuples(st.integers(0, 7), st.integers(0, 7))
 
 

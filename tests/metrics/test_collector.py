@@ -38,14 +38,6 @@ def test_conflict_fraction():
     assert collector.conflict_fraction == 0.5
 
 
-def test_read_write_latency_split():
-    collector = MetricsCollector()
-    collector.record_request(completed_request(0, 100, kind=IoKind.READ))
-    collector.record_request(completed_request(0, 300, kind=IoKind.WRITE))
-    assert collector.read_latencies.mean == 100
-    assert collector.write_latencies.mean == 300
-
-
 def test_incomplete_request_rejected():
     collector = MetricsCollector()
     request = IoRequest(kind=IoKind.READ, offset_bytes=0, size_bytes=4096, arrival_ns=0)

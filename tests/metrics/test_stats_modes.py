@@ -69,8 +69,8 @@ def test_exact_mode_is_deterministic_across_runs():
 def test_collector_mode_flag_controls_recorders():
     exact = MetricsCollector(exact_stats=True)
     hist = MetricsCollector(exact_stats=False)
-    assert exact.latencies.exact and exact.read_latencies.exact
-    assert not hist.latencies.exact and not hist.write_latencies.exact
+    assert exact.latencies.exact
+    assert not hist.latencies.exact
 
 
 def test_env_switch_flips_collector_default(monkeypatch):

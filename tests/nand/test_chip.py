@@ -10,8 +10,7 @@ from repro.errors import NandProtocolError
 from repro.experiments.spec import ExperimentScale, make_spec
 from repro.nand.address import ChipAddress, PhysicalPageAddress
 from repro.nand.array import FlashArray
-from repro.nand.chip import FlashChip
-from repro.nand.commands import FlashCommand, FlashCommandKind
+from repro.nand.chip import FlashChip, PageState, TransactionKind
 from repro.sim.engine import Engine
 
 GEOMETRY = NandGeometry(
@@ -35,77 +34,58 @@ def address(plane=0, block=0, page=0):
 
 def test_operation_latencies_follow_timings():
     die = make_chip().die(0)
-    read = FlashCommand(FlashCommandKind.READ, [address()])
-    program = FlashCommand(FlashCommandKind.PROGRAM, [address()])
-    erase = FlashCommand(FlashCommandKind.ERASE, [address()])
-    assert die.operation_latency_ns(read) == 3000
-    assert die.operation_latency_ns(program) == 100_000
-    assert die.operation_latency_ns(erase) == 1_000_000
+    assert die.operation_latency_ns(TransactionKind.READ) == 3000
+    assert die.operation_latency_ns(TransactionKind.PROGRAM) == 100_000
+    assert die.operation_latency_ns(TransactionKind.ERASE) == 1_000_000
 
 
 def test_multi_plane_same_latency_as_single():
     die = make_chip().die(0)
-    multi = FlashCommand(
-        FlashCommandKind.PROGRAM, [address(plane=0), address(plane=1)]
-    )
-    assert die.operation_latency_ns(multi) == 100_000
+    # A legal two-plane program occupies the die for one tPROG.
+    die.validate([address(plane=0), address(plane=1)])
+    assert die.operation_latency_ns(TransactionKind.PROGRAM) == 100_000
 
 
 def test_multi_plane_offset_rule_enforced():
     die = make_chip().die(0)
-    bad = FlashCommand(
-        FlashCommandKind.PROGRAM,
-        [address(plane=0, page=0), address(plane=1, page=1)],
-    )
     with pytest.raises(NandProtocolError):
-        die.validate_command(bad)
+        die.validate([address(plane=0, page=0), address(plane=1, page=1)])
 
 
 def test_multi_plane_duplicate_plane_rejected():
     die = make_chip().die(0)
-    bad = FlashCommand(
-        FlashCommandKind.PROGRAM, [address(plane=0), address(plane=0)]
-    )
     with pytest.raises(NandProtocolError):
-        die.validate_command(bad)
+        die.validate([address(plane=0), address(plane=0)])
 
 
 def test_command_for_wrong_die_rejected():
     die = make_chip().die(0)
     wrong_chip = PhysicalPageAddress(ChipAddress(1, 0), 0, 0, 0, 0)
     with pytest.raises(NandProtocolError):
-        die.validate_command(FlashCommand(FlashCommandKind.READ, [wrong_chip]))
+        die.validate([wrong_chip])
+    with pytest.raises(NandProtocolError):
+        die.apply(TransactionKind.READ, [wrong_chip])
 
 
 def test_apply_program_then_read_then_erase():
     die = make_chip().die(0)
-    die.apply_command(FlashCommand(FlashCommandKind.PROGRAM, [address()]))
-    die.apply_command(FlashCommand(FlashCommandKind.READ, [address()]))
-    die.apply_command(FlashCommand(FlashCommandKind.ERASE, [address()]))
     block = die.planes[0].block(0)
+    die.apply(TransactionKind.PROGRAM, [address()])
+    assert block.read_page(0) is PageState.VALID
+    die.apply(TransactionKind.READ, [address()])
+    assert block.read_page(0) is PageState.VALID  # a read changes no state
+    die.apply(TransactionKind.ERASE, [address()])
     assert block.is_erased
     assert block.erase_count == 1
-    assert die.commands_executed == 3
-
-
-def test_strict_read_of_unwritten_page_raises():
-    die = make_chip().die(0)
-    with pytest.raises(NandProtocolError):
-        die.apply_command(
-            FlashCommand(FlashCommandKind.READ, [address()]), strict_reads=True
-        )
 
 
 def test_multi_plane_program_applies_to_both_planes():
     die = make_chip().die(0)
-    command = FlashCommand(
-        FlashCommandKind.PROGRAM, [address(plane=0), address(plane=1)]
-    )
-    die.apply_command(command)
-    assert die.planes[0].block(0).valid_count == 1
-    assert die.planes[1].block(0).valid_count == 1
-    assert die.planes[0].programs == 1
-    assert die.planes[1].programs == 1
+    die.apply(TransactionKind.PROGRAM, [address(plane=0), address(plane=1)])
+    for plane in (0, 1):
+        block = die.planes[plane].block(0)
+        assert block.valid_count == 1
+        assert block.read_page(0) is PageState.VALID
 
 
 # --------------------------------------------------------------------- #

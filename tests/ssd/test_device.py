@@ -1,10 +1,15 @@
 """End-to-end SSD device integration tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config.presets import cost_optimized, performance_optimized
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
+from repro.experiments.runner import make_device
+from repro.experiments.spec import ExperimentScale, make_spec
 from repro.hil.request import IoKind, IoRequest
 from repro.ssd.device import SsdDevice
 from repro.ssd.factory import build_fabric, design_names, supports_geometry
@@ -91,8 +96,32 @@ def test_mixed_queue_trace_round_robins():
     for index, request in enumerate(requests):
         request.queue_id = index % 2
     device.run_trace(requests, "multi-queue")
-    assert device.queues[0].completed == 10
-    assert device.queues[1].completed == 10
+    for queue_id in (0, 1):
+        served = [r for r in requests if r.queue_id == queue_id]
+        assert len(served) == 10
+        assert all(r.completed_ns is not None for r in served)
+
+
+@pytest.mark.parametrize("design", [design.value for design in DesignKind])
+def test_finished_device_holds_no_served_request(design):
+    """A device keeps no reference to the requests it served.
+
+    Each request's outcome is stamped on the request and folded into the
+    metrics; once the caller drops the trace, the requests are garbage
+    even though the device lives on.
+    """
+    scale = ExperimentScale.for_requests(100, 42)
+    spec = make_spec(design, "performance-optimized", "hm_0", scale)
+    config = spec.build_config()
+    trace = spec.build_trace(config)
+    device = make_device(config, spec.design_kind, scale)
+    served = [weakref.ref(request) for request in trace.requests]
+    assert len(served) == 100
+    result = device.run_trace(trace.requests, trace.name)
+    del trace
+    gc.collect()
+    assert [ref for ref in served if ref() is not None] == []
+    assert device.metrics.requests_completed == result.requests_completed == 100
 
 
 def test_queue_depth_limits_outstanding():

@@ -102,7 +102,7 @@ def reference_reserve(network, packet, destination, decisions):
         return step.output, step.minimal
 
     while True:
-        if forward_moves + backtracks > network.max_scout_steps:
+        if forward_moves + backtracks > network.MAX_SCOUT_STEPS:
             while stack:
                 frame = stack.pop()
                 del network.link_owner[frame.edge]
