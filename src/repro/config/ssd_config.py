@@ -205,15 +205,6 @@ class SsdConfig:
         )
         return replace(self, geometry=new_geometry)
 
-    def scaled(self, blocks_per_plane: int, pages_per_block: int) -> "SsdConfig":
-        """Derive a capacity-scaled config (smaller address space for tests)."""
-        new_geometry = replace(
-            self.geometry,
-            blocks_per_plane=blocks_per_plane,
-            pages_per_block=pages_per_block,
-        )
-        return replace(self, geometry=new_geometry)
-
     def with_ftl_knobs(
         self,
         *,

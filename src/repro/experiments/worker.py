@@ -85,6 +85,10 @@ class QueueWorker:
     which kills a simulation that overruns it.
     """
 
+    #: Seconds an idle worker (or a queued batch waiting on other workers'
+    #: leases) sleeps before it polls the queue again.
+    POLL_INTERVAL = 0.2
+
     def __init__(
         self,
         queue: WorkQueue,
@@ -92,14 +96,12 @@ class QueueWorker:
         owner: Optional[str] = None,
         max_tasks: Optional[int] = None,
         idle_exit: Optional[float] = None,
-        poll_interval: float = 0.2,
         timeout: Optional[float] = None,
     ) -> None:
         self.queue = queue
         self.owner = owner or default_owner_id()
         self.max_tasks = max_tasks
         self.idle_exit = idle_exit
-        self.poll_interval = poll_interval
         self.executor = Executor(timeout=timeout)
         self.store = queue.result_store()
         self.completed = 0
@@ -187,7 +189,7 @@ class QueueWorker:
                     idle_since = now
                 elif now - idle_since >= self.idle_exit:
                     break
-            time.sleep(self.poll_interval)
+            time.sleep(self.POLL_INTERVAL)
         return {
             "owner": self.owner,
             "completed": self.completed,
@@ -249,7 +251,7 @@ class QueueExecutor(Executor):
             ):
                 # Nothing claimable right now (other workers hold leases,
                 # or retries are backing off): wait a beat.
-                time.sleep(self.worker.poll_interval)
+                time.sleep(QueueWorker.POLL_INTERVAL)
         dead = self.queue.dead_letters()
         results: List[Optional[RunResult]] = []
         failures: List[SpecRunError] = []

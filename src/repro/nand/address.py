@@ -159,17 +159,3 @@ class PhysicalPageAddress:
             block=block,
             page=page,
         )
-
-    def same_plane_offset(self, other: "PhysicalPageAddress") -> bool:
-        """Whether two addresses can form a multi-plane operation.
-
-        Planes in a die share peripheral circuitry, so they can operate
-        concurrently only on pages/blocks at the *same offset* (§2.1).
-        """
-        return (
-            self.chip == other.chip
-            and self.die == other.die
-            and self.plane != other.plane
-            and self.block == other.block
-            and self.page == other.page
-        )

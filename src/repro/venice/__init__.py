@@ -6,31 +6,23 @@ a non-minimal fully-adaptive backtracking algorithm (paper §4).
 
 Modules:
 
-* :mod:`repro.venice.scout` -- scout packet flit encoding (Figure 6),
-* :mod:`repro.venice.router` -- router chip + router reservation table
-  (Figure 7),
-* :mod:`repro.venice.routing` -- Algorithm 1 (output-port selection) and the
-  full backtracking walk with deadlock/livelock safeguards (§4.3),
-* :mod:`repro.venice.network` -- mesh-wide link/ejection reservation state,
+* :mod:`repro.venice.routing` -- Algorithm 1 (output-port selection) as a
+  pure reference function, with the deadlock/livelock constants (§4.3),
+* :mod:`repro.venice.network` -- the mesh's reservation state (links,
+  ejection and injection ports, each router's table rows and tie-break
+  LFSR) and the scout walk that reserves a circuit,
+* :mod:`repro.venice.degraded` -- dead links/routers and the partition
+  oracle,
 * :mod:`repro.venice.fabric` -- the :class:`~repro.interconnect.base.Fabric`
   implementation: flash-controller selection, reservation retries, circuit
   hold and release.
 """
 
-from repro.venice.scout import ScoutFlit, ScoutPacket, FlitRole, FlitMode
-from repro.venice.router import Router, ReservationEntry, ReservationTable
 from repro.venice.routing import RouteStep, StepKind, minimal_directions, route_step
 from repro.venice.network import VeniceNetwork, ReservedCircuit, ScoutResult
 from repro.venice.fabric import VeniceFabric
 
 __all__ = [
-    "ScoutFlit",
-    "ScoutPacket",
-    "FlitRole",
-    "FlitMode",
-    "Router",
-    "ReservationEntry",
-    "ReservationTable",
     "RouteStep",
     "StepKind",
     "minimal_directions",

@@ -82,16 +82,6 @@ class DegradedVenice:
             self.network._dead_routers.discard(node)
         self.epoch += 1
 
-    @property
-    def dead_links(self) -> FrozenSet:
-        """Snapshot of the currently failed mesh links (edge keys)."""
-        return frozenset(self.network._dead_links)
-
-    @property
-    def dead_routers(self) -> FrozenSet[Coord]:
-        """Snapshot of the currently failed router coordinates."""
-        return frozenset(self.network._dead_routers)
-
     # ------------------------------------------------------------------ #
     # partition oracle
     # ------------------------------------------------------------------ #
@@ -112,7 +102,7 @@ class DegradedVenice:
         topology = network.topology
         labels: Dict[Coord, int] = {}
         label = 0
-        for start in network.routers:
+        for start in network.router_rows:
             if start in labels or start in dead_routers:
                 continue
             label += 1

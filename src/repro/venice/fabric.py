@@ -37,12 +37,6 @@ from repro.nand.address import ChipAddress
 from repro.sim.engine import Engine
 from repro.sim.resources import ResourcePool
 from repro.venice.network import ReservedCircuit, VeniceNetwork
-from repro.venice.scout import (
-    FlitMode,
-    ScoutPacket,
-    required_dest_bits,
-    required_fc_bits,
-)
 
 
 class VeniceFabric(Fabric):
@@ -57,8 +51,6 @@ class VeniceFabric(Fabric):
             rows, cols, config.flash_controllers, lfsr_seed=config.seed % 3 + 1
         )
         self.fc_pool = ResourcePool(engine, "venice-fc", config.flash_controllers)
-        self.dest_bits = required_dest_bits(config.geometry.total_chips)
-        self.fc_bits = required_fc_bits(config.flash_controllers)
         # accounting beyond FabricStats
         self.circuit_hops_total = 0
         self.circuits_completed = 0
@@ -240,14 +232,6 @@ class VeniceFabric(Fabric):
             fc_index, fc_lease = yield self.fc_pool.acquire_preferring(preference)
         fc_waited = fc_lease.waited
 
-        packet = ScoutPacket(
-            destination_chip=chip.flat_index(self.config.geometry),
-            source_fc=fc_index,
-            mode=FlitMode.RESERVE,
-            dest_bits=self.dest_bits,
-            fc_bits=self.fc_bits,
-        )
-
         total_attempts = 0
         first_attempt_failed = False
         chip_busy_wait = False
@@ -256,7 +240,7 @@ class VeniceFabric(Fabric):
         maze_retries = 0
         while circuit is None:
             total_attempts += 1
-            result = self.network.try_reserve(packet, destination)
+            result = self.network.try_reserve(fc_index, destination)
             self.stats.scout_attempts_total += 1
             scout_hops = result.scout_hops
             if result.succeeded:
@@ -294,13 +278,6 @@ class VeniceFabric(Fabric):
                             self._fc_preference(chip), destination
                         ),
                         restrict=True,
-                    )
-                    packet = ScoutPacket(
-                        destination_chip=chip.flat_index(self.config.geometry),
-                        source_fc=fc_index,
-                        mode=FlitMode.RESERVE,
-                        dest_bits=self.dest_bits,
-                        fc_bits=self.fc_bits,
                     )
                     continue
             if (

@@ -1,19 +1,21 @@
 """Mesh-wide reservation state and the scout walk.
 
-:class:`VeniceNetwork` owns the ground truth the routers' distributed state
-represents: which bidirectional links and which chip ejection ports are held
-by which circuit.  :meth:`VeniceNetwork.try_reserve` performs one complete
-scout traversal -- Algorithm 1 at every router, link reservation on forward
-moves, cancel-mode backtracking, livelock caps -- atomically against the
-current state.  This atomicity is faithful because scout packets are two
-8-bit flits travelling at nanosecond scale while the circuits they reserve
-live for microseconds (see DESIGN.md §3).
+:class:`VeniceNetwork` is the one owner of Venice's reservation state: which
+bidirectional links, chip ejection ports and controller drop points are held
+by which circuit, which circuits hold a row of each router's reservation
+table (Figure 7), and each router's 2-bit tie-break LFSR (§4.3).
+:meth:`VeniceNetwork.try_reserve` performs one complete scout traversal --
+Algorithm 1 at every router, link reservation on forward moves, cancel-mode
+backtracking, livelock caps -- atomically against the current state.  This
+atomicity is faithful because scout packets are two 8-bit flits travelling
+at nanosecond scale while the circuits they reserve live for microseconds
+(see DESIGN.md §3).
 
 One structural rule follows from Figure 7: the router reservation table has
 *one row per packet ID*, so a committed circuit can cross each router at
 most once.  The walk therefore never extends the path onto a router that
-already holds this scout's entry; re-visiting a router is only possible
-after backtracking cleared its entry (which is also exactly when the paper
+already holds this scout's row; re-visiting a router is only possible
+after backtracking cleared its row (which is also exactly when the paper
 allows a revisit).
 """
 
@@ -30,12 +32,11 @@ from repro.interconnect.topology import (
     MeshTopology,
     edge_key,
 )
-from repro.venice.router import Router
+from repro.sim.rng import Lfsr2
 from repro.venice.routing import (
     MAX_ROUTER_VISITS,
     MINIMAL_DIRECTIONS_BY_SIGN as _MINIMAL_BY_SIGN,
 )
-from repro.venice.scout import FlitMode, ScoutPacket
 
 
 @dataclass
@@ -43,8 +44,7 @@ class ReservedCircuit:
     """A conflict-free bidirectional circuit from an FC to a flash chip."""
 
     circuit_id: int  # unique per live circuit (keys router table rows)
-    packet_id: int  # scout packet id == source FC id (Figure 6 encoding)
-    fc_index: int
+    fc_index: int  # the scout's packet ID (§4.2)
     destination: Coord
     nodes: List[Coord]  # router sequence, FC attach point first
     edges: List[FrozenSet[Coord]]  # mesh links held by the circuit
@@ -144,13 +144,16 @@ class VeniceNetwork:
         self.topology = MeshTopology(rows, cols)
         self.fc_count = fc_count
         self.injection_cols = tuple(range(0, cols, self.INJECTION_STRIDE))
-        self.routers: Dict[Coord, Router] = {}
+        #: Each router's reservation table (Figure 7), as the set of circuits
+        #: holding one of its ``fc_count`` rows, in row-major router order.
+        self.router_rows: Dict[Coord, Set[int]] = {}
+        self._lfsrs: Dict[Coord, Lfsr2] = {}
         for row in range(rows):
             for col in range(cols):
+                self.router_rows[(row, col)] = set()
                 # Seed each router's LFSR differently so ties do not resolve
                 # identically across the whole mesh.
-                seed = (lfsr_seed + row * cols + col) % 3 + 1
-                self.routers[(row, col)] = Router((row, col), fc_count, seed)
+                self._lfsrs[(row, col)] = Lfsr2((lfsr_seed + row * cols + col) % 3 + 1)
         self.link_owner: Dict[FrozenSet[Coord], int] = {}
         self.ejection_owner: Dict[Coord, int] = {}
         self.injection_owner: Dict[Coord, int] = {}  # occupied FC drop points
@@ -166,11 +169,10 @@ class VeniceNetwork:
         # Hot-path lookup tables: per-node neighbour coordinate and
         # canonical edge key, indexed by Direction.value (RIGHT/UP/DOWN/
         # LEFT), so the scout walk never allocates a frozenset or re-derives
-        # a coordinate.  Router reservation tables are aliased flat for the
-        # same reason.
+        # a coordinate.
         self._neighbors: Dict[Coord, tuple] = {}
         self._edges: Dict[Coord, tuple] = {}
-        for node in self.routers:
+        for node in self.router_rows:
             nearby = []
             edges = []
             for direction in MESH_DIRECTIONS:
@@ -179,8 +181,6 @@ class VeniceNetwork:
                 edges.append(None if other is None else edge_key(node, other))
             self._neighbors[node] = tuple(nearby)
             self._edges[node] = tuple(edges)
-        self._tables = {node: router.table for node, router in self.routers.items()}
-        self._table_capacity = fc_count  # every router table has fc_count rows
         self._injection_rows = tuple(
             tuple((fc % rows, col) for col in self.injection_cols)
             for fc in range(fc_count)
@@ -274,18 +274,17 @@ class VeniceNetwork:
     # scout traversal (Algorithm 1 + backtracking + livelock caps)
     # ------------------------------------------------------------------ #
 
-    def try_reserve(self, packet: ScoutPacket, destination: Coord) -> ScoutResult:
-        """Send one reserve-mode scout; atomically reserve a circuit or fail.
+    def try_reserve(self, fc_index: int, destination: Coord) -> ScoutResult:
+        """Send one reserve-mode scout from controller ``fc_index``.
 
-        Scouts are serialised per FC by the fabric (one packet id in flight
-        per controller, §4.2); the *circuits* they establish are keyed by a
+        Atomically reserves a circuit to ``destination`` or fails.  Scouts
+        are serialised per FC by the fabric (one packet ID in flight per
+        controller, §4.2); the *circuits* they establish are keyed by a
         unique circuit id so one controller can hold several live circuits
         at once -- see DESIGN.md on why the published throughput requires
         multi-circuit controllers and how the router reservation table's row
         capacity becomes the per-router constraint.
         """
-        if packet.mode is not FlitMode.RESERVE:
-            raise ReservationError("scout must be sent in reserve mode")
         if not self.topology.contains(destination):
             raise RoutingError(f"destination {destination} outside mesh")
         if self._dead_routers and destination in self._dead_routers:
@@ -301,7 +300,7 @@ class VeniceNetwork:
         circuit_id = self._next_circuit_id
         self._next_circuit_id += 1
 
-        source = self.best_injection(packet.source_fc, destination)
+        source = self.best_injection(fc_index, destination)
         if source is None:
             # Every drop point of this controller sits on a dead router.
             self.failed_reservations += 1
@@ -310,7 +309,8 @@ class VeniceNetwork:
             # Every drop point of this controller is carrying a circuit.
             self.failed_reservations += 1
             return ScoutResult(None, 0, 0, failure_reason="path")
-        if not self.routers[source].table.has_room:
+        router_rows = self.router_rows
+        if len(router_rows[source]) >= self.fc_count:
             # No free row in the source router's reservation table: the scout
             # cannot even record its first hop.
             self.failed_reservations += 1
@@ -330,7 +330,7 @@ class VeniceNetwork:
                 while stack:
                     frame = stack.pop()
                     del self.link_owner[frame.edge]
-                    self.routers[frame.node].cancel(circuit_id)
+                    router_rows[frame.node].remove(circuit_id)
                 self.failed_reservations += 1
                 self.total_scout_hops += forward_moves + backtracks
                 self._assert_clean(circuit_id, visits)
@@ -347,11 +347,15 @@ class VeniceNetwork:
                     output = None
 
             if output is Direction.EJECT:
-                # Record the destination router's table entry, then commit.
-                entry = input_port if input_port is not None else Direction.EJECT
-                if entry is not Direction.EJECT:
-                    self.routers[current].reserve(circuit_id, entry, Direction.EJECT)
-                circuit = self._commit(packet, circuit_id, destination, source, stack)
+                # The destination router records a row (entry port -> its
+                # ejection port) only when the scout arrived over a mesh link.
+                # A circuit injected at its destination router enters and
+                # leaves through the one local port, and a table row needs
+                # two different ports, so that circuit takes no row (giving
+                # it one would change which scouts find a free row).
+                if input_port is not None:
+                    router_rows[current].add(circuit_id)
+                circuit = self._commit(fc_index, circuit_id, destination, source, stack)
                 self.reservations += 1
                 self.total_scout_hops += forward_moves + backtracks
                 if not circuit.is_minimal:
@@ -369,8 +373,7 @@ class VeniceNetwork:
                     used_ports[current] = {output}
                 else:
                     used.add(output)
-                entry = input_port if input_port is not None else Direction.EJECT
-                self.routers[current].reserve(circuit_id, entry, output)
+                router_rows[current].add(circuit_id)
                 stack.append(_WalkFrame(current, input_port, output, edge))
                 visits[next_node] = visits.get(next_node, 0) + 1
                 input_port = output.opposite
@@ -381,7 +384,7 @@ class VeniceNetwork:
                 continue
 
             # BACKTRACK: the scout flips to cancel mode, retreats one hop,
-            # and the upstream router clears its reservation entry (§4.2).
+            # and the upstream router clears its reservation row (§4.2).
             if not stack:
                 self.failed_reservations += 1
                 self.total_scout_hops += forward_moves + backtracks
@@ -389,7 +392,7 @@ class VeniceNetwork:
                 return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
             frame = stack.pop()
             del self.link_owner[frame.edge]
-            self.routers[frame.node].cancel(circuit_id)
+            router_rows[frame.node].remove(circuit_id)
             current = frame.node
             input_port = frame.entry_port
             backtracks += 1
@@ -413,7 +416,7 @@ class VeniceNetwork:
         :func:`repro.venice.routing.route_step` (the pure, property-tested
         reference) over the usable() predicate: a port is usable iff it has
         an in-mesh *alive* neighbour whose reservation table has a free row
-        and no entry for this circuit, its link is unowned *and not failed*,
+        and no row of this circuit, its link is unowned *and not failed*,
         and this scout has not already reserved it at this router; candidate
         order and LFSR tie-break cadence (advance only on 2+ candidates)
         match exactly.  Dead links/routers (fault injection, DESIGN.md §7)
@@ -428,9 +431,9 @@ class VeniceNetwork:
         consumed = used_ports.get(current)
         neighbors = self._neighbors[current]
         edges = self._edges[current]
-        tables = self._tables
+        router_rows = self.router_rows
         link_owner = self.link_owner
-        capacity = self._table_capacity
+        capacity = self.fc_count  # one table row per flash controller
         dead_links = self._dead_links
         dead_routers = self._dead_routers
 
@@ -454,8 +457,8 @@ class VeniceNetwork:
                 neighbor = neighbors[value]
                 if neighbor is None or neighbor in dead_routers:
                     continue
-                entries = tables[neighbor]._entries
-                if circuit_id in entries or len(entries) >= capacity:
+                rows = router_rows[neighbor]
+                if circuit_id in rows or len(rows) >= capacity:
                     continue
                 edge = edges[value]
                 if edge not in link_owner and edge not in dead_links:
@@ -464,7 +467,7 @@ class VeniceNetwork:
                 # Lines 27-32: one or two candidates; LFSR picks among two.
                 if len(candidates) == 1:
                     return candidates[0], True
-                return self.routers[current].pick_output(candidates), True
+                return candidates[self._lfsrs[current].pick(len(candidates))], True
 
         # Lines 33-45: misroute through any free port that is neither the
         # ejection port nor the input link.
@@ -478,8 +481,8 @@ class VeniceNetwork:
             neighbor = neighbors[value]
             if neighbor is None or neighbor in dead_routers:
                 continue
-            entries = tables[neighbor]._entries
-            if circuit_id in entries or len(entries) >= capacity:
+            rows = router_rows[neighbor]
+            if circuit_id in rows or len(rows) >= capacity:
                 continue
             edge = edges[value]
             if edge not in link_owner and edge not in dead_links:
@@ -487,14 +490,14 @@ class VeniceNetwork:
         if non_minimal:
             if len(non_minimal) == 1:
                 return non_minimal[0], False
-            return self.routers[current].pick_output(non_minimal), False
+            return non_minimal[self._lfsrs[current].pick(len(non_minimal))], False
 
         # Lines 46-47: the only way out is back where we came from.
         return None, False
 
     def _commit(
         self,
-        packet: ScoutPacket,
+        fc_index: int,
         circuit_id: int,
         destination: Coord,
         source: Coord,
@@ -509,8 +512,7 @@ class VeniceNetwork:
             nodes.append(next_node)
         circuit = ReservedCircuit(
             circuit_id=circuit_id,
-            packet_id=packet.packet_id,
-            fc_index=packet.source_fc,
+            fc_index=fc_index,
             destination=destination,
             nodes=nodes,
             edges=[frame.edge for frame in stack],
@@ -531,11 +533,11 @@ class VeniceNetwork:
                 raise ReservationError(
                     f"failed scout circuit {circuit_id} left a link reserved"
                 )
-        tables = self._tables
+        router_rows = self.router_rows
         for node in visited:
-            if circuit_id in tables[node]._entries:
+            if circuit_id in router_rows[node]:
                 raise ReservationError(
-                    f"failed scout circuit {circuit_id} left a router table entry"
+                    f"failed scout circuit {circuit_id} left a router table row"
                 )
 
     # ------------------------------------------------------------------ #
@@ -569,9 +571,7 @@ class VeniceNetwork:
                     f"not {circuit.circuit_id}"
                 )
         for node in circuit.nodes:
-            router = self.routers.get(node)
-            if router is not None and router.has_reservation(circuit.circuit_id):
-                router.cancel(circuit.circuit_id)
+            self.router_rows[node].discard(circuit.circuit_id)
 
     # ------------------------------------------------------------------ #
     # invariants (exercised by the property tests)
@@ -584,9 +584,16 @@ class VeniceNetwork:
         * circuits are pairwise link-disjoint (conflict-freedom),
         * every circuit is a connected path from its FC attach point to its
           destination,
-        * no orphan link or ejection reservations exist.
+        * no orphan link or ejection reservations exist,
+        * a circuit that crosses two or more routers holds a table row at
+          each of them, a local circuit (injected at its destination router)
+          holds none, no router holds more than ``fc_count`` rows, and every
+          row belongs to a live circuit on that router.
         """
         seen: Dict[FrozenSet[Coord], int] = {}
+        expected_rows: Dict[Coord, Set[int]] = {
+            node: set() for node in self.router_rows
+        }
         for circuit_id, circuit in self.circuits.items():
             if circuit.nodes[0] not in self.injection_points(circuit.fc_index):
                 raise ReservationError(
@@ -618,6 +625,9 @@ class VeniceNetwork:
                 raise ReservationError(
                     f"ejection of circuit {circuit_id} not reserved"
                 )
+            if len(circuit.nodes) > 1:
+                for node in circuit.nodes:
+                    expected_rows[node].add(circuit_id)
         for edge, owner in self.link_owner.items():
             if owner not in self.circuits:
                 raise ReservationError(f"orphan link {set(edge)} owned by {owner}")
@@ -627,3 +637,14 @@ class VeniceNetwork:
         for node, owner in self.injection_owner.items():
             if owner not in self.circuits:
                 raise ReservationError(f"orphan injection at {node} owned by {owner}")
+        for node, rows in self.router_rows.items():
+            if len(rows) > self.fc_count:
+                raise ReservationError(
+                    f"router {node} holds {len(rows)} rows, "
+                    f"more than its {self.fc_count}"
+                )
+            if rows != expected_rows[node]:
+                raise ReservationError(
+                    f"router {node} holds rows of circuits {sorted(rows)}, "
+                    f"not {sorted(expected_rows[node])}"
+                )

@@ -107,7 +107,6 @@ def test_multi_plane_allocation_same_offset():
     assert first.die == second.die
     assert first.plane != second.plane
     assert (first.block, first.page) == (second.block, second.page)
-    assert first.same_plane_offset(second)
 
 
 def test_multi_plane_count_capped_at_planes_per_die():

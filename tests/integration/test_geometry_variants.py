@@ -6,7 +6,6 @@ from repro.config.presets import performance_optimized
 from repro.config.ssd_config import DesignKind
 from repro.ssd.device import SsdDevice
 from repro.venice.network import VeniceNetwork
-from repro.venice.scout import ScoutPacket
 from repro.workloads.catalog import generate_workload
 
 
@@ -43,13 +42,7 @@ def test_venice_network_reservation_on_rectangles(rows, cols, fcs):
     circuits = []
     for fc in range(fcs):
         dest = (fc % rows, (fc * 3) % cols)
-        packet = ScoutPacket(
-            destination_chip=dest[0] * cols + dest[1],
-            source_fc=fc,
-            dest_bits=max(6, (rows * cols - 1).bit_length()),
-            fc_bits=max(3, (fcs - 1).bit_length()),
-        )
-        result = net.try_reserve(packet, dest)
+        result = net.try_reserve(fc, dest)
         if result.succeeded:
             circuits.append(result.circuit)
         net.assert_consistent()
@@ -58,13 +51,3 @@ def test_venice_network_reservation_on_rectangles(rows, cols, fcs):
         net.release(circuit)
     assert net.links_in_use() == 0
 
-
-def test_scout_field_widths_adapt_to_geometry():
-    config = performance_optimized(blocks_per_plane=2, pages_per_block=2)
-    wide = config.with_geometry(16, 4)
-    from repro.venice.fabric import VeniceFabric
-    from repro.sim.engine import Engine
-
-    fabric = VeniceFabric(Engine(), wide)
-    assert fabric.fc_bits == 4  # 16 controllers need 4 bits
-    assert fabric.dest_bits == 6  # still 64 chips

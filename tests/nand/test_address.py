@@ -62,26 +62,6 @@ def test_validate_rejects_bad_block():
         address.validate(GEOMETRY)
 
 
-def test_same_plane_offset_detects_multi_plane_pairs():
-    chip = ChipAddress(1, 2)
-    a = PhysicalPageAddress(chip, 0, 0, 3, 7)
-    b = PhysicalPageAddress(chip, 0, 1, 3, 7)
-    assert a.same_plane_offset(b)
-
-
-def test_same_plane_offset_rejects_different_offset():
-    chip = ChipAddress(1, 2)
-    a = PhysicalPageAddress(chip, 0, 0, 3, 7)
-    b = PhysicalPageAddress(chip, 0, 1, 3, 8)
-    assert not a.same_plane_offset(b)
-
-
-def test_same_plane_offset_rejects_same_plane():
-    chip = ChipAddress(1, 2)
-    a = PhysicalPageAddress(chip, 0, 0, 3, 7)
-    assert not a.same_plane_offset(a)
-
-
 def test_plane_flat_index_distinct_per_plane():
     seen = set()
     for chip_flat in range(GEOMETRY.total_chips):

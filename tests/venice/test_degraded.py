@@ -5,21 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
 from repro.venice.network import VeniceNetwork
-from repro.venice.scout import FlitMode, ScoutPacket
 
 
 def make_network(rows=4, cols=4, fc_count=4, **kwargs):
     return VeniceNetwork(rows, cols, fc_count, lfsr_seed=1, **kwargs)
-
-
-def packet_for(fc, network):
-    return ScoutPacket(
-        destination_chip=0,
-        source_fc=fc,
-        mode=FlitMode.RESERVE,
-        dest_bits=8,
-        fc_bits=4,
-    )
 
 
 def test_scout_routes_around_a_dead_link():
@@ -29,7 +18,7 @@ def test_scout_routes_around_a_dead_link():
     # kill every horizontal link of row 1 except the ejection column so the
     # walk must leave the row and come back (the Algorithm 1 detour).
     degraded.set_link((1, 2), (1, 3), down=True)
-    result = network.try_reserve(packet_for(1, network), (1, 3))
+    result = network.try_reserve(1, (1, 3))
     assert result.succeeded
     circuit = result.circuit
     assert all(
@@ -46,7 +35,7 @@ def test_dead_link_never_carries_a_circuit_under_saturation():
     circuits = []
     for fc in range(4):
         for col in range(4):
-            result = network.try_reserve(packet_for(fc, network), (fc, col))
+            result = network.try_reserve(fc, (fc, col))
             if result.succeeded:
                 circuits.append(result.circuit)
     assert circuits, "no circuit reserved at all"
@@ -66,7 +55,7 @@ def test_backtracking_unwinds_cleanly_when_faults_block_the_walk():
     degraded.set_link((1, 0), (1, 1), down=True)
     # FC 1's own drops include (1,1) itself, so use FC 0 (row 0): its scout
     # cannot enter (1,1) and must fail without leaking state.
-    result = network.try_reserve(packet_for(0, network), (1, 1))
+    result = network.try_reserve(0, (1, 1))
     assert not result.succeeded
     assert result.failure_reason == "path"
     assert not network.link_owner and not network.ejection_owner
@@ -76,7 +65,7 @@ def test_backtracking_unwinds_cleanly_when_faults_block_the_walk():
 def test_dead_destination_router_fails_reservation():
     network = make_network()
     network.degraded_mode().set_router((2, 2), down=True)
-    result = network.try_reserve(packet_for(2, network), (2, 2))
+    result = network.try_reserve(2, (2, 2))
     assert not result.succeeded
     assert result.failure_reason == "path"
     assert network.is_partitioned((2, 2))
@@ -87,7 +76,7 @@ def test_walk_avoids_dead_intermediate_routers():
     degraded = network.degraded_mode()
     degraded.set_router((1, 1), down=True)
     degraded.set_router((1, 2), down=True)
-    result = network.try_reserve(packet_for(1, network), (1, 3))
+    result = network.try_reserve(1, (1, 3))
     assert result.succeeded
     assert (1, 1) not in result.circuit.nodes
     assert (1, 2) not in result.circuit.nodes
@@ -112,7 +101,7 @@ def test_link_repair_restores_routing_and_epoch_invalidates_cache():
     degraded.set_router((3, 3), down=False)
     assert degraded.epoch == epoch_before + 1
     assert not network.is_partitioned((3, 3))
-    result = network.try_reserve(packet_for(3, network), (3, 3))
+    result = network.try_reserve(3, (3, 3))
     assert result.succeeded
     network.release(result.circuit)
 
@@ -128,7 +117,7 @@ def test_best_injection_skips_drops_in_foreign_components():
     # coordinates would be (0,3), which can no longer reach it.
     drop = network.best_injection(0, (1, 3))
     assert drop != (0, 3)
-    result = network.try_reserve(packet_for(0, network), (1, 3))
+    result = network.try_reserve(0, (1, 3))
     assert result.succeeded
     network.release(result.circuit)
     # The isolated chip itself is still served -- via its own tap.
@@ -234,7 +223,7 @@ def test_reachability_predicates_match_a_bfs_over_the_alive_mesh(case):
             reachable(network.injection_points(fc), dead) for fc in range(fc_count)
         ]
         anywhere = set().union(*per_fc)
-        for node in network.routers:
+        for node in network.router_rows:
             assert degraded.is_partitioned(node) == (node not in anywhere)
             for fc in range(fc_count):
                 assert degraded.fc_can_reach(fc, node) == (node in per_fc[fc])

@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReservationError
+from repro.interconnect.topology import edge_key
 from repro.venice.network import VeniceNetwork
-from repro.venice.scout import FlitMode, ScoutPacket
 
 
 def make_network(rows=8, cols=8, fcs=8):
     return VeniceNetwork(rows, cols, fcs)
 
 
-def packet(dest, fc, cols=8):
-    return ScoutPacket(destination_chip=dest[0] * cols + dest[1], source_fc=fc)
-
-
 def test_reserve_same_row_uses_drop_point():
     net = make_network()
-    result = net.try_reserve(packet((3, 5), 3), (3, 5))
+    result = net.try_reserve(3, (3, 5))
     assert result.succeeded
     circuit = result.circuit
     assert circuit.destination == (3, 5)
@@ -28,7 +24,7 @@ def test_reserve_same_row_uses_drop_point():
 
 def test_reserve_and_release_restores_clean_state():
     net = make_network()
-    result = net.try_reserve(packet((2, 4), 2), (2, 4))
+    result = net.try_reserve(2, (2, 4))
     assert result.succeeded
     net.release(result.circuit)
     assert net.links_in_use() == 0
@@ -39,9 +35,9 @@ def test_reserve_and_release_restores_clean_state():
 
 def test_two_circuits_to_same_chip_conflict_as_chip_busy():
     net = make_network()
-    first = net.try_reserve(packet((1, 1), 1), (1, 1))
+    first = net.try_reserve(1, (1, 1))
     assert first.succeeded
-    second = net.try_reserve(packet((1, 1), 2), (1, 1))
+    second = net.try_reserve(2, (1, 1))
     assert not second.succeeded
     assert second.failed_on_chip
 
@@ -49,7 +45,7 @@ def test_two_circuits_to_same_chip_conflict_as_chip_busy():
 def test_cross_row_circuit_reserves_mesh_links():
     net = make_network()
     # FC 0 serving a chip in row 5: must cross rows via mesh links.
-    result = net.try_reserve(packet((5, 3), 0), (5, 3))
+    result = net.try_reserve(0, (5, 3))
     assert result.succeeded
     assert result.circuit.mesh_hops >= 5
     net.assert_consistent()
@@ -61,10 +57,10 @@ def test_failed_scout_leaves_no_residue():
     results = []
     for fc in range(2):
         for col in range(2):
-            outcome = net.try_reserve(packet((fc, col), fc, cols=2), (fc, col))
+            outcome = net.try_reserve(fc, (fc, col))
             results.append(outcome)
     links_before = net.links_in_use()
-    blocked = net.try_reserve(packet((0, 0), 1, cols=2), (0, 0))
+    blocked = net.try_reserve(1, (0, 0))
     assert not blocked.succeeded
     assert net.links_in_use() == links_before
     net.assert_consistent()
@@ -72,24 +68,17 @@ def test_failed_scout_leaves_no_residue():
 
 def test_release_unknown_circuit_rejected():
     net = make_network()
-    result = net.try_reserve(packet((0, 1), 0), (0, 1))
+    result = net.try_reserve(0, (0, 1))
     assert result.succeeded
     net.release(result.circuit)
     with pytest.raises(ReservationError):
         net.release(result.circuit)
 
 
-def test_cancel_mode_scout_rejected():
-    net = make_network()
-    bad = ScoutPacket(destination_chip=0, source_fc=0, mode=FlitMode.CANCEL)
-    with pytest.raises(ReservationError):
-        net.try_reserve(bad, (0, 0))
-
-
 def test_circuit_ids_are_unique_per_reservation():
     net = make_network()
-    a = net.try_reserve(packet((0, 1), 0), (0, 1)).circuit
-    b = net.try_reserve(packet((1, 1), 1), (1, 1)).circuit
+    a = net.try_reserve(0, (0, 1)).circuit
+    b = net.try_reserve(1, (1, 1)).circuit
     assert a.circuit_id != b.circuit_id
 
 
@@ -99,7 +88,7 @@ def test_one_fc_can_hold_multiple_circuits():
     net = make_network()
     circuits = []
     for col in (0, 2, 4):
-        result = net.try_reserve(packet((0, col), 0), (0, col))
+        result = net.try_reserve(0, (0, col))
         assert result.succeeded
         circuits.append(result.circuit)
     net.assert_consistent()
@@ -117,11 +106,75 @@ def test_injection_points_stride():
 
 def test_total_hops_includes_injection_and_ejection():
     net = make_network()
-    result = net.try_reserve(packet((0, 0), 0), (0, 0))
+    result = net.try_reserve(0, (0, 0))
     assert result.succeeded
     # Direct drop at the destination: no mesh links, 2 hops (inject+eject).
     assert result.circuit.mesh_hops == 0
     assert result.circuit.total_hops == 2
+
+
+def test_router_rows_follow_circuits():
+    net = make_network()
+    local = net.try_reserve(3, (3, 5)).circuit
+    assert local.nodes == [(3, 5)]
+    crossing = net.try_reserve(0, (5, 3)).circuit
+    assert len(crossing.nodes) > 1
+    holders = {node for node, rows in net.router_rows.items() if rows}
+    assert holders == set(crossing.nodes)
+    for node in crossing.nodes:
+        assert net.router_rows[node] == {crossing.circuit_id}
+    net.assert_consistent()
+    net.release(local)
+    net.release(crossing)
+    assert not any(net.router_rows.values())
+
+
+def test_full_router_table_blocks_the_walk():
+    """With one controller each router has one row, and a held row blocks."""
+    net = make_network(rows=3, cols=3, fcs=1)
+    through = net.try_reserve(0, (2, 1)).circuit
+    assert through.nodes == [(0, 1), (1, 1), (2, 1)]
+    assert net.router_rows[(1, 1)] == {through.circuit_id}
+    for side in ((1, 0), (1, 2)):
+        assert edge_key(side, (1, 1)) not in net.link_owner
+    blocked = net.try_reserve(0, (1, 1))
+    assert not blocked.succeeded
+    assert blocked.failure_reason == "path"
+    net.release(through)
+    result = net.try_reserve(0, (1, 1))
+    assert result.succeeded
+    assert result.circuit.nodes == [(0, 1), (1, 1)]
+    net.assert_consistent()
+
+
+@pytest.mark.parametrize(
+    "node,holder,planted",
+    [
+        ((1, 0), "stranger", True),
+        ((1, 1), "crossing", False),
+        ((0, 0), "local", True),
+        ((1, 1), "local", True),
+    ],
+    ids=["orphan-row", "missing-row", "local-circuit-row", "second-row"],
+)
+def test_assert_consistent_checks_router_rows(node, holder, planted):
+    net = make_network(rows=3, cols=3, fcs=1)
+    crossing = net.try_reserve(0, (2, 1)).circuit
+    local = net.try_reserve(0, (0, 0)).circuit
+    assert local.nodes == [(0, 0)]
+    net.assert_consistent()
+    # "stranger" is a circuit id that no live circuit has.
+    circuit_id = {
+        "crossing": crossing.circuit_id,
+        "local": local.circuit_id,
+        "stranger": 99,
+    }
+    if planted:
+        net.router_rows[node].add(circuit_id[holder])
+    else:
+        net.router_rows[node].remove(circuit_id[holder])
+    with pytest.raises(ReservationError):
+        net.assert_consistent()
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +201,7 @@ def test_reservation_invariants_hold_under_interleaving(operations):
     for row, col, fc, release_first in operations:
         if release_first and live:
             net.release(live.pop(0))
-        result = net.try_reserve(packet((row, col), fc), (row, col))
+        result = net.try_reserve(fc, (row, col))
         if result.succeeded:
             live.append(result.circuit)
         net.assert_consistent()
@@ -164,7 +217,6 @@ def test_reservation_invariants_hold_under_interleaving(operations):
 def test_small_mesh_circuits_are_link_disjoint(destinations):
     net = make_network(rows=4, cols=4, fcs=4)
     for index, (row, col) in enumerate(destinations):
-        pkt = ScoutPacket(destination_chip=row * 4 + col, source_fc=index % 4)
-        net.try_reserve(pkt, (row, col))
+        net.try_reserve(index % 4, (row, col))
     # assert_consistent checks pairwise link-disjointness (conflict freedom).
     net.assert_consistent()

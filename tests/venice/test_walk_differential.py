@@ -22,7 +22,6 @@ import random
 from repro.interconnect.topology import Direction, MESH_DIRECTIONS
 from repro.venice.network import VeniceNetwork, _WalkFrame
 from repro.venice.routing import MAX_ROUTER_VISITS, StepKind, route_step
-from repro.venice.scout import FlitMode, ScoutPacket
 
 
 class RecordingNetwork(VeniceNetwork):
@@ -40,7 +39,7 @@ class RecordingNetwork(VeniceNetwork):
         return output, minimal
 
 
-def reference_reserve(network, packet, destination, decisions):
+def reference_reserve(network, fc_index, destination, decisions):
     """``try_reserve`` re-implemented over the pure ``route_step`` reference.
 
     Mirrors the stateful walk (budgets, stack, reservations) line for line
@@ -56,10 +55,10 @@ def reference_reserve(network, packet, destination, decisions):
         return None
     circuit_id = network._next_circuit_id
     network._next_circuit_id += 1
-    source = network.best_injection(packet.source_fc, destination)
+    source = network.best_injection(fc_index, destination)
     if source is None or source in network.injection_owner:
         return None
-    if not network.routers[source].table.has_room:
+    if len(network.router_rows[source]) >= network.fc_count:
         return None
 
     stack = []
@@ -82,8 +81,8 @@ def reference_reserve(network, packet, destination, decisions):
             neighbor = network._neighbors[current][port.value]
             if neighbor is None or neighbor in network._dead_routers:
                 return False
-            entries = network._tables[neighbor]._entries
-            if circuit_id in entries or len(entries) >= network._table_capacity:
+            rows = network.router_rows[neighbor]
+            if circuit_id in rows or len(rows) >= network.fc_count:
                 return False
             edge = network._edges[current][port.value]
             return edge not in network.link_owner and edge not in network._dead_links
@@ -93,7 +92,7 @@ def reference_reserve(network, packet, destination, decisions):
             destination=destination,
             input_port=input_port,
             usable=usable,
-            choose=network.routers[current].pick_output,
+            choose=lambda ports: ports[network._lfsrs[current].pick(len(ports))],
         )
         if step.kind is StepKind.EJECT:
             return Direction.EJECT, True
@@ -106,7 +105,7 @@ def reference_reserve(network, packet, destination, decisions):
             while stack:
                 frame = stack.pop()
                 del network.link_owner[frame.edge]
-                network.routers[frame.node].cancel(circuit_id)
+                network.router_rows[frame.node].remove(circuit_id)
             return None
 
         output, minimal = decide()
@@ -116,9 +115,8 @@ def reference_reserve(network, packet, destination, decisions):
                 output = None
 
         if output is Direction.EJECT:
-            entry = input_port if input_port is not None else Direction.EJECT
-            if entry is not Direction.EJECT:
-                network.routers[current].reserve(circuit_id, entry, Direction.EJECT)
+            if input_port is not None:  # a local circuit takes no row
+                network.router_rows[current].add(circuit_id)
             network.ejection_owner[destination] = circuit_id
             network.injection_owner[source] = circuit_id
             nodes = [source]
@@ -129,8 +127,7 @@ def reference_reserve(network, packet, destination, decisions):
 
             network.circuits[circuit_id] = ReservedCircuit(
                 circuit_id=circuit_id,
-                packet_id=packet.packet_id,
-                fc_index=packet.source_fc,
+                fc_index=fc_index,
                 destination=destination,
                 nodes=nodes,
                 edges=[frame.edge for frame in stack],
@@ -143,8 +140,7 @@ def reference_reserve(network, packet, destination, decisions):
             edge = network._edges[current][output.value]
             network.link_owner[edge] = circuit_id
             used_ports.setdefault(current, set()).add(output)
-            entry = input_port if input_port is not None else Direction.EJECT
-            network.routers[current].reserve(circuit_id, entry, output)
+            network.router_rows[current].add(circuit_id)
             stack.append(_WalkFrame(current, input_port, output, edge))
             visits[next_node] = visits.get(next_node, 0) + 1
             input_port = output.opposite
@@ -158,7 +154,7 @@ def reference_reserve(network, packet, destination, decisions):
             return None
         frame = stack.pop()
         del network.link_owner[frame.edge]
-        network.routers[frame.node].cancel(circuit_id)
+        network.router_rows[frame.node].remove(circuit_id)
         current = frame.node
         input_port = frame.entry_port
         backtracks += 1
@@ -178,7 +174,7 @@ def build_pair(rng):
             a, b = sorted(edge)
             real.degraded_mode().set_link(a, b, down=True)
             reference.degraded_mode().set_link(a, b, down=True)
-    for node in list(real.routers):
+    for node in list(real.router_rows):
         if rng.random() < 0.08:
             real.degraded_mode().set_router(node, down=True)
             reference.degraded_mode().set_router(node, down=True)
@@ -196,19 +192,10 @@ def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
                 rng.randrange(real.topology.rows),
                 rng.randrange(real.topology.cols),
             )
-            packet = ScoutPacket(
-                destination_chip=0,
-                source_fc=fc,
-                mode=FlitMode.RESERVE,
-                dest_bits=8,
-                fc_bits=4,
-            )
             real.decisions.clear()
             reference_decisions = []
-            result = real.try_reserve(packet, destination)
-            nodes = reference_reserve(
-                reference, packet, destination, reference_decisions
-            )
+            result = real.try_reserve(fc, destination)
+            nodes = reference_reserve(reference, fc, destination, reference_decisions)
             context = (
                 f"mesh {real.topology.rows}x{real.topology.cols} fc={fc} "
                 f"dest={destination} dead_links={len(real._dead_links)} "
@@ -222,6 +209,10 @@ def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
             assert real.link_owner == reference.link_owner, context
             assert real.ejection_owner == reference.ejection_owner, context
             assert real.injection_owner == reference.injection_owner, context
+            assert real.router_rows == reference.router_rows, context
+            assert [lfsr.state for lfsr in real._lfsrs.values()] == [
+                lfsr.state for lfsr in reference._lfsrs.values()
+            ], context
             walks += 1
     assert walks >= 1000
 
@@ -234,14 +225,11 @@ def test_reference_and_walk_agree_on_pristine_mesh_decisions():
     for _ in range(60):
         fc = rng.randrange(4)
         destination = (rng.randrange(4), rng.randrange(4))
-        packet = ScoutPacket(
-            destination_chip=0, source_fc=fc, mode=FlitMode.RESERVE,
-            dest_bits=8, fc_bits=4,
-        )
         real.decisions.clear()
         reference_decisions = []
-        result = real.try_reserve(packet, destination)
-        nodes = reference_reserve(reference, packet, destination, reference_decisions)
+        result = real.try_reserve(fc, destination)
+        nodes = reference_reserve(reference, fc, destination, reference_decisions)
         assert real.decisions == reference_decisions
         assert result.succeeded == (nodes is not None)
         assert real.link_owner == reference.link_owner
+        assert real.router_rows == reference.router_rows
