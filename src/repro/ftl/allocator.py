@@ -13,6 +13,12 @@ collector through erases in the NAND model; each plane counts its own erased
 blocks (:attr:`~repro.nand.chip.FlashPlane.erased_blocks`), so the allocator
 decides "nothing to open here" without scanning and walks a plane's blocks
 only to pick the one it opens.
+
+Planes build their blocks on first touch, and the scan walks only the built
+ones.  Every unbuilt block is erased with erase count 0 and lies past every
+built index, so the first unbuilt block stands for all of them: it is
+opened, and only then built, exactly when no built erased block has erase
+count 0 -- the block a scan over every block would pick.
 """
 
 from __future__ import annotations
@@ -167,11 +173,22 @@ class PageAllocator:
         # repro.ftl.wear_leveling for the active policy).  The scan reads
         # the allocation pointer rather than the is_erased property: one
         # call fewer per block on the allocator's hottest loop.
-        _, cursor.open_block = min(
-            (block.erase_count, index)
-            for index, block in enumerate(plane.blocks)
-            if not block.allocation_pointer
+        blocks = plane.blocks
+        best = min(
+            (
+                (block.erase_count, index)
+                for index, block in enumerate(blocks)
+                if not block.allocation_pointer
+            ),
+            default=None,
         )
+        built = len(blocks)
+        if built < plane.block_count and (best is None or (0, built) < best):
+            # The first unbuilt block (erase count 0, past every built
+            # index) wins: build it.
+            plane.block(built)
+            best = (0, built)
+        _, cursor.open_block = best
         return cursor.open_block
 
     def _reserve(self) -> Tuple[_PlaneCursor, int, int]:
@@ -303,11 +320,12 @@ class PageAllocator:
         """Whether nothing was allocated yet and no block was ever erased.
 
         That is: no counted allocation, no open block, and every block
-        erased with erase count 0 -- the array as built.
+        erased with erase count 0 -- the array as built.  Unbuilt blocks
+        are all three by construction, so only built ones are checked.
         """
         return not self.allocations and all(
             cursor.open_block is None
-            and cursor.plane.erased_blocks == len(cursor.plane.blocks)
+            and cursor.plane.erased_blocks == cursor.plane.block_count
             and not any(block.erase_count for block in cursor.plane.blocks)
             for cursor in self._cursors
         )
@@ -327,8 +345,9 @@ class PageAllocator:
         for cursor, count in zip(self._cursors, counts):
             if not count:
                 continue
-            blocks = cursor.plane.blocks
             last, tail = divmod(count - 1, pages_per_block)
+            cursor.plane.block(last)  # builds every block it writes
+            blocks = cursor.plane.blocks
             for block in blocks[:last]:
                 block.restore(full_block, 0)
             blocks[last].restore("v" * (tail + 1), 0)

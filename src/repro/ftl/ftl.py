@@ -333,6 +333,7 @@ class Ftl:
             open_block = allocator.open_block_of(plane_flat)
             victim_index = None
             victim_key = None
+            # Built blocks only: an unbuilt block is erased, never a victim.
             for index, block in enumerate(plane.blocks):
                 if index == open_block or block.is_erased:
                     continue

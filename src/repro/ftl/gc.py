@@ -83,6 +83,8 @@ class GarbageCollector:
 
         Ties break toward the lower erase count so GC pressure spreads wear.
         Returns None when no closed block exists (nothing reclaimable).
+        The scan walks the plane's built blocks only: an unbuilt block is
+        erased, which the loop skips anyway.
         """
         plane = self.allocator.plane(plane_flat)
         open_block = self.allocator.open_block_of(plane_flat)

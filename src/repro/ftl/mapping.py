@@ -100,15 +100,6 @@ class MappingTable:
         self._forward = forward
         self._reverse = reverse
 
-    def unmap(self, lpn: int) -> Optional[int]:
-        """Drop a logical page's mapping (trim); returns the freed PPN."""
-        self._check_lpn(lpn)
-        ppn = self._forward.pop(lpn, None)
-        if ppn is not None:
-            del self._reverse[ppn]
-            self.invalidations += 1
-        return ppn
-
     def remap_physical(self, old_ppn: int, new_ppn: int) -> int:
         """GC migration: move a live page's mapping to its new location."""
         lpn = self._reverse.get(old_ppn)

@@ -78,15 +78,22 @@ class WearLeveler:
     # ------------------------------------------------------------------ #
 
     def wear_stats(self) -> WearStats:
-        """Snapshot the erase-count distribution across every block."""
-        counts: List[int] = [
-            block.erase_count
-            for _, _, plane in self.array.iter_planes()
-            for block in plane.blocks
-        ]
-        if not counts:
+        """Snapshot the erase-count distribution across every block.
+
+        Blocks a plane has not built yet have erase count 0; they enter
+        the minimum, maximum and mean as a count, not one by one.
+        """
+        counts: List[int] = []
+        unbuilt = 0
+        for _, _, plane in self.array.iter_planes():
+            counts.extend([block.erase_count for block in plane.blocks])
+            unbuilt += plane.block_count - len(plane.blocks)
+        total = len(counts) + unbuilt
+        if not total:
             return WearStats(0, 0, 0.0)
-        return WearStats(min(counts), max(counts), sum(counts) / len(counts))
+        # No erase count is negative, so any unbuilt block is a least-worn one.
+        least = 0 if unbuilt else min(counts)
+        return WearStats(least, max(counts, default=0), sum(counts) / total)
 
     def needs_leveling(self) -> bool:
         """Whether the wear spread exceeds the leveling threshold."""
@@ -107,6 +114,7 @@ class WearLeveler:
         best: Optional[Tuple[int, int]] = None
         best_erases: Optional[int] = None
         for plane_flat in range(self.allocator.plane_count()):
+            # Built blocks only: an unbuilt block holds no valid page.
             for index, block in enumerate(self.allocator.plane(plane_flat).blocks):
                 if block.valid_count != block.pages_per_block:
                     continue  # only fully-valid (cold, never rewritten) blocks

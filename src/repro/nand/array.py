@@ -52,12 +52,17 @@ class FlashArray:
         ]
 
     def block_for(self, address: PhysicalPageAddress) -> FlashBlock:
-        """The block holding ``address`` (the per-page hot path)."""
+        """The block holding ``address`` (the per-page hot path), built on
+        first touch."""
         chip = address.chip
         die = self._dies_flat[
             (chip.channel * self._ways + chip.way) * self._dies_per_chip + address.die
         ]
-        return die.planes[address.plane].blocks[address.block]
+        plane = die.planes[address.plane]
+        try:
+            return plane.blocks[address.block]
+        except IndexError:
+            return plane.block(address.block)
 
     def set_die_failed(self, channel: int, way: int, die: int, failed: bool = True) -> None:
         """Mark one die failed/repaired (fault injection; bounds-checked).

@@ -10,6 +10,11 @@ Responsibilities:
   die may operate together only as a multi-plane command at the same offset,
 * account per-block program/erase cycles for the wear-leveling policy.
 
+A plane builds each :class:`FlashBlock` the first time something touches
+it: a block never built is pristine (erased, erase count 0, never
+programmed), so a device costs O(planes) to construct however large its
+geometry, and a run pays only for the blocks it opens.
+
 Timing lives in the controller/fabric layers -- the chip exposes latencies
 and a die ``Resource`` but never touches the event loop itself beyond that.
 """
@@ -291,26 +296,50 @@ class FlashBlock:
 
 
 class FlashPlane:
-    """A plane: blocks_per_plane blocks sharing sense amplifiers."""
+    """A plane: ``block_count`` blocks sharing sense amplifiers.
 
-    __slots__ = ("index", "blocks", "_allocated")
+    Blocks are built on first touch.  ``blocks`` holds the built prefix in
+    index order, so code that already holds a block index reaches it with
+    a plain list index; :meth:`block` builds the blocks up to the one it
+    returns.  Every block past the prefix is pristine -- erased, erase
+    count 0, never programmed -- so it counts as erased in
+    :attr:`erased_blocks` and as free in :attr:`free_pages`, and loops that
+    skip erased blocks (victim selection, snapshots, valid-page sums) can
+    walk ``blocks`` alone.
+    """
+
+    __slots__ = ("index", "blocks", "block_count", "pages_per_block", "_allocated")
 
     def __init__(self, index: int, geometry: NandGeometry) -> None:
         self.index = index
+        self.block_count = geometry.blocks_per_plane
+        self.pages_per_block = geometry.pages_per_block
         # Maintained by the blocks; every block starts erased.
-        self._allocated = PageCounter(erased_blocks=geometry.blocks_per_plane)
-        self.blocks: List[FlashBlock] = [
-            FlashBlock(block, geometry.pages_per_block, self._allocated)
-            for block in range(geometry.blocks_per_plane)
-        ]
+        self._allocated = PageCounter(erased_blocks=self.block_count)
+        self.blocks: List[FlashBlock] = []
 
     def block(self, index: int) -> FlashBlock:
-        """The block at ``index`` within this plane."""
-        return self.blocks[index]
+        """The block at ``index`` within this plane, built if it is not yet.
+
+        Building block ``index`` builds every block below it first, so
+        ``blocks`` stays a prefix in index order.
+        """
+        if not 0 <= index < self.block_count:
+            raise IndexError(
+                f"block {index} outside a plane of {self.block_count} blocks"
+            )
+        blocks = self.blocks
+        if index >= len(blocks):
+            blocks.extend(
+                FlashBlock(built, self.pages_per_block, self._allocated)
+                for built in range(len(blocks), index + 1)
+            )
+        return blocks[index]
 
     @property
     def erased_blocks(self) -> int:
-        """How many of the plane's blocks are erased (kept by the blocks)."""
+        """How many of the plane's blocks are erased (kept by the blocks;
+        unbuilt blocks count as erased)."""
         return self._allocated.erased_blocks
 
     @property
@@ -326,7 +355,7 @@ class FlashPlane:
     @property
     def total_pages(self) -> int:
         """The plane's raw capacity in pages."""
-        return len(self.blocks) * self.blocks[0].pages_per_block if self.blocks else 0
+        return self.block_count * self.pages_per_block
 
 
 class FlashDie:
@@ -421,7 +450,13 @@ class FlashDie:
             return
         planes = self.planes
         for address in addresses:
-            block = planes[address.plane].blocks[address.block]
+            plane = planes[address.plane]
+            try:
+                block = plane.blocks[address.block]
+            except IndexError:
+                # A program or erase that reaches a block no allocator
+                # opened (direct NAND-order programming) builds it.
+                block = plane.block(address.block)
             if kind is TransactionKind.PROGRAM:
                 block.program_page(address.page)
             else:

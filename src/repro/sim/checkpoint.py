@@ -242,10 +242,10 @@ def restore_device(device, state: dict) -> None:
     planes = [plane for _, _, plane in device.array.iter_planes()]
     blocks_per_plane = expected["blocks_per_plane"]
     pages_per_block = expected["pages_per_block"]
-    # What each flat physical page holds per the snapshot: b"v", b"i", or
-    # 0 for a free page.
-    occupancy = bytearray(geometry.total_pages)
-    for plane_flat, block_index, erase_count, pages in state["blocks"]:
+    # How many blocks of each plane the snapshot reaches: the restore
+    # builds each plane's blocks once, up to the highest one it names.
+    reached = [0] * len(planes)
+    for plane_flat, block_index, _, _ in state["blocks"]:
         # Inline rather than _checked_index: this loop runs once per written
         # block on every restore.  A non-int index still fails here, with a
         # TypeError.
@@ -256,6 +256,15 @@ def restore_device(device, state: dict) -> None:
                 f"{block_index!r} of plane {plane_flat!r}, outside "
                 f"{len(planes)} planes x {blocks_per_plane} blocks"
             )
+        if block_index >= reached[plane_flat]:
+            reached[plane_flat] = block_index + 1
+    for plane, count in zip(planes, reached):
+        if count:
+            plane.block(count - 1)
+    # What each flat physical page holds per the snapshot: b"v", b"i", or
+    # 0 for a free page.
+    occupancy = bytearray(geometry.total_pages)
+    for plane_flat, block_index, erase_count, pages in state["blocks"]:
         block = planes[plane_flat].blocks[block_index]
         try:
             # The block owns its restore path (and its invariants): a
@@ -281,9 +290,13 @@ def restore_device(device, state: dict) -> None:
                 f"{plane_flat} twice"
             )
         opened.add(plane_flat)
-        allocator._cursors[plane_flat].open_block = _checked_index(
+        open_block = _checked_index(
             open_block, blocks_per_plane, "allocator.open_blocks block"
         )
+        # An opened block with no page handed out yet is implicit in the
+        # snapshot's blocks: build it, as the allocator did when it opened it.
+        planes[plane_flat].block(open_block)
+        allocator._cursors[plane_flat].open_block = open_block
     allocator._next_plane = _checked_index(
         section["next_plane"], len(planes), "allocator.next_plane"
     )

@@ -7,7 +7,7 @@ from repro.config.presets import performance_optimized
 from repro.errors import GarbageCollectionError
 from repro.ftl.allocator import AllocationStrategy, PageAllocator
 from repro.nand.array import FlashArray
-from repro.nand.chip import PageState
+from repro.nand.chip import FlashBlock, PageState
 from repro.sim.engine import Engine
 
 
@@ -194,12 +194,19 @@ _STEPS = st.lists(
 )
 
 
+def _every_block(plane):
+    """All of the plane's blocks, without building any: the built ones,
+    then a pristine stand-in (erased, erase count 0) for each unbuilt one."""
+    pristine = FlashBlock(0, plane.pages_per_block)
+    return plane.blocks + [pristine] * (plane.block_count - len(plane.blocks))
+
+
 def _least_worn_erased(plane):
     """Brute-force reference: the (erase_count, index) the allocator must
     open next in this plane, or None when no block is erased."""
     erased = [
         (block.erase_count, index)
-        for index, block in enumerate(plane.blocks)
+        for index, block in enumerate(_every_block(plane))
         if block.is_erased
     ]
     return min(erased) if erased else None
@@ -211,7 +218,7 @@ def _can_allocate(allocator, plane_flat, for_gc):
     open_block = allocator.open_block_of(plane_flat)
     if open_block is not None and not plane.blocks[open_block].is_full:
         return True
-    erased = sum(block.is_erased for block in plane.blocks)
+    erased = sum(block.is_erased for block in _every_block(plane))
     return erased > (0 if for_gc else allocator.gc_reserved_blocks)
 
 
@@ -234,14 +241,18 @@ def test_erased_count_and_opened_blocks_match_brute_force(steps):
 
     def blocks_where(predicate):
         return [
-            block
+            (plane, index)
             for plane_flat, plane in enumerate(planes)
-            for index, block in enumerate(plane.blocks)
+            for index, block in enumerate(_every_block(plane))
             if index != allocator.open_block_of(plane_flat) and predicate(block)
         ]
 
     def pick(candidates, index):
-        return candidates[index % len(candidates)] if candidates else None
+        """The chosen block, built if it was not yet."""
+        if not candidates:
+            return None
+        plane, block_index = candidates[index % len(candidates)]
+        return plane.block(block_index)
 
     def take(call):
         try:
@@ -309,7 +320,7 @@ def test_erased_count_and_opened_blocks_match_brute_force(steps):
                 block.restore(args[1], erase_count=args[2])
 
         for plane_flat, plane in enumerate(planes):
-            erased = sum(block.is_erased for block in plane.blocks)
+            erased = sum(block.is_erased for block in _every_block(plane))
             assert plane.erased_blocks == erased
             assert allocator.erased_block_count(plane_flat) == erased
             opened = allocator.open_block_of(plane_flat)

@@ -144,7 +144,7 @@ def _device(blocks, pages, channels, ways, over_provisioning, strategy, start):
     elif kind == "worn":  # an erased block that is no longer least-worn
         allocator = device.ftl.allocator
         plane = allocator.plane(value % allocator.plane_count())
-        plane.blocks[value % blocks].erase_count = 1
+        plane.block(value % blocks).erase_count = 1
     return device
 
 

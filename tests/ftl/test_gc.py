@@ -68,13 +68,13 @@ def test_gc_victim_selection_prefers_fewest_valid():
     allocator = device.ftl.allocator
     plane = allocator.plane(0)
     # Block 0: fully invalid; block 1: half valid -- both full.
-    for page in range(plane.blocks[0].pages_per_block):
-        plane.blocks[0].program_page(page)
-        plane.blocks[0].invalidate_page(page)
-    for page in range(plane.blocks[1].pages_per_block):
-        plane.blocks[1].program_page(page)
+    for page in range(plane.block(0).pages_per_block):
+        plane.block(0).program_page(page)
+        plane.block(0).invalidate_page(page)
+    for page in range(plane.block(1).pages_per_block):
+        plane.block(1).program_page(page)
         if page % 2 == 0:
-            plane.blocks[1].invalidate_page(page)
+            plane.block(1).invalidate_page(page)
     victim = device.gc.select_victim(0)
     assert victim == 0
 
@@ -82,15 +82,15 @@ def test_gc_victim_selection_prefers_fewest_valid():
 def test_gc_victim_skips_fully_valid_blocks():
     device = write_heavy_device()
     plane = device.ftl.allocator.plane(0)
-    for page in range(plane.blocks[0].pages_per_block):
-        plane.blocks[0].program_page(page)
+    for page in range(plane.block(0).pages_per_block):
+        plane.block(0).program_page(page)
     assert device.gc.select_victim(0) is None
 
 
 def test_gc_victim_skips_blocks_with_inflight_programs():
     device = write_heavy_device()
     plane = device.ftl.allocator.plane(0)
-    block = plane.blocks[0]
+    block = plane.block(0)
     for page in range(block.pages_per_block - 1):
         block.program_page(page)
         block.invalidate_page(page)

@@ -46,14 +46,6 @@ def test_lpn_bounds_enforced():
         table.map_page(-1, 0)
 
 
-def test_unmap_trim():
-    table = MappingTable(100)
-    table.map_page(3, 300)
-    assert table.unmap(3) == 300
-    assert table.lookup(3) is None
-    assert table.unmap(3) is None
-
-
 def test_remap_physical_for_gc_migration():
     table = MappingTable(100)
     table.map_page(7, 700)
@@ -117,7 +109,7 @@ def test_empty_space_rejected():
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 49), st.integers(0, 999), st.booleans()),
+        st.tuples(st.integers(0, 49), st.integers(0, 999)),
         max_size=100,
     )
 )
@@ -125,12 +117,8 @@ def test_mapping_stays_bijective(operations):
     """Forward and reverse maps mirror each other under any op sequence."""
     table = MappingTable(50)
     used_ppns = set()
-    for lpn, ppn, do_unmap in operations:
-        if do_unmap:
-            freed = table.unmap(lpn)
-            if freed is not None:
-                used_ppns.discard(freed)
-        elif ppn not in used_ppns:
+    for lpn, ppn in operations:
+        if ppn not in used_ppns:
             old = table.map_page(lpn, ppn)
             used_ppns.add(ppn)
             if old is not None:

@@ -88,6 +88,21 @@ def test_multi_plane_program_applies_to_both_planes():
         assert block.read_page(0) is PageState.VALID
 
 
+def test_plane_builds_blocks_on_first_touch():
+    plane = make_chip().die(0).planes[0]
+    assert plane.blocks == []
+    assert plane.erased_blocks == GEOMETRY.blocks_per_plane
+    assert plane.free_pages == plane.total_pages == 4 * 8
+    block = plane.block(2)
+    assert [built.index for built in plane.blocks] == [0, 1, 2]
+    assert plane.blocks[2] is block and block.is_erased
+    assert plane.erased_blocks == GEOMETRY.blocks_per_plane
+    for index in (-1, GEOMETRY.blocks_per_plane):
+        with pytest.raises(IndexError):
+            plane.block(index)
+    assert len(plane.blocks) == 3
+
+
 # --------------------------------------------------------------------- #
 # FlashArray
 # --------------------------------------------------------------------- #

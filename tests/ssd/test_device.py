@@ -9,7 +9,12 @@ from repro.config.presets import cost_optimized, performance_optimized
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
 from repro.experiments.runner import make_device
-from repro.experiments.spec import ExperimentScale, make_spec
+from repro.experiments.spec import (
+    ExperimentScale,
+    build_config,
+    make_spec,
+    matrix_specs,
+)
 from repro.hil.request import IoKind, IoRequest
 from repro.ssd.device import SsdDevice
 from repro.ssd.factory import build_fabric, design_names, supports_geometry
@@ -122,6 +127,48 @@ def test_finished_device_holds_no_served_request(design):
     gc.collect()
     assert [ref for ref in served if ref() is not None] == []
     assert device.metrics.requests_completed == result.requests_completed == 100
+
+
+# --------------------------------------------------------------------- #
+# construction work: blocks are built on first touch
+# --------------------------------------------------------------------- #
+
+
+def built_blocks(device):
+    return sum(len(plane.blocks) for _, _, plane in device.array.iter_planes())
+
+
+@pytest.mark.parametrize("design", [design.value for design in DesignKind])
+@pytest.mark.parametrize(
+    "config",
+    [
+        # The CLI's geometry, and Table 1's full 1024 x 768 planes.
+        build_config("performance-optimized", ExperimentScale()),
+        performance_optimized(),
+    ],
+    ids=["cli", "table1"],
+)
+def test_fresh_device_holds_no_built_block(design, config):
+    device = SsdDevice(config, DesignKind(design))
+    assert built_blocks(device) == 0
+    assert device.ftl.allocator.is_fresh()
+    assert device.ftl.allocator.free_page_fraction() == 1.0
+
+
+@pytest.mark.parametrize("workload, built", [("hm_0", 121), ("YCSB_B", 107)])
+def test_cells_build_only_the_blocks_they_open(workload, built):
+    """A 100-request figure cell builds the same few blocks in every design."""
+    scale = ExperimentScale.for_requests(100, 42)
+    specs = matrix_specs("performance-optimized", (workload,), scale)
+    assert len(specs) == 6
+    counts = {}
+    for spec in specs:
+        config = spec.build_config()
+        trace = spec.build_trace(config)
+        device = make_device(config, spec.design_kind, scale)
+        device.run_trace(trace.requests, trace.name)
+        counts[spec.design] = built_blocks(device)
+    assert set(counts.values()) == {built}, counts
 
 
 def test_queue_depth_limits_outstanding():

@@ -159,7 +159,7 @@ def test_skewed_wear_triggers_leveling_migrations():
     device.precondition(0.5)  # leaves fully-valid (cold) closed blocks
     # Skew the erase-count distribution past the leveler's threshold.
     plane = device.ftl.allocator.plane(0)
-    for block in plane.blocks:
+    for block in map(plane.block, range(plane.block_count)):
         if block.is_erased:
             block.erase_count = 20
     result = device.run_trace(write_trace(20), "skewed")
@@ -173,7 +173,7 @@ def test_wear_leveling_disabled_never_migrates():
     device = SsdDevice(tiny_config(blocks_per_plane=8), DesignKind.BASELINE)
     device.precondition(0.5)
     plane = device.ftl.allocator.plane(0)
-    for block in plane.blocks:
+    for block in map(plane.block, range(plane.block_count)):
         if block.is_erased:
             block.erase_count = 20
     device.run_trace(write_trace(20), "skewed")
