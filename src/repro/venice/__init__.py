@@ -6,11 +6,11 @@ a non-minimal fully-adaptive backtracking algorithm (paper §4).
 
 Modules:
 
-* :mod:`repro.venice.routing` -- Algorithm 1 (output-port selection) as a
-  pure reference function, with the deadlock/livelock constants (§4.3),
 * :mod:`repro.venice.network` -- the mesh's reservation state (links,
   ejection and injection ports, each router's table rows and tie-break
-  LFSR) and the scout walk that reserves a circuit,
+  LFSR) and the scout walk that reserves a circuit: Algorithm 1
+  (output-port selection) on integer port codes, with the livelock caps
+  (§4.3),
 * :mod:`repro.venice.degraded` -- dead links/routers and the partition
   oracle,
 * :mod:`repro.venice.fabric` -- the :class:`~repro.interconnect.base.Fabric`
@@ -18,15 +18,10 @@ Modules:
   hold and release.
 """
 
-from repro.venice.routing import RouteStep, StepKind, minimal_directions, route_step
 from repro.venice.network import VeniceNetwork, ReservedCircuit, ScoutResult
 from repro.venice.fabric import VeniceFabric
 
 __all__ = [
-    "RouteStep",
-    "StepKind",
-    "minimal_directions",
-    "route_step",
     "VeniceNetwork",
     "ReservedCircuit",
     "ScoutResult",

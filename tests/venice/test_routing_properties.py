@@ -1,6 +1,6 @@
 """Property-based tests for Algorithm 1's pure decision function.
 
-``routing.route_step`` is driven with randomized usable-port masks (a
+``routing_reference.route_step`` is driven with randomized usable-port masks (a
 seeded, hypothesis-style generator -- plain ``random.Random``, no new
 runtime dependency) and checked against the properties the pseudocode
 promises: forward steps never pick an unusable port, an arrived scout with
@@ -10,12 +10,7 @@ a free ejection port always ejects, and full blockage always backtracks.
 import random
 
 from repro.interconnect.topology import Coord, Direction, MESH_DIRECTIONS
-from repro.venice.routing import (
-    RouteStep,
-    StepKind,
-    minimal_directions,
-    route_step,
-)
+from routing_reference import RouteStep, StepKind, minimal_directions, route_step
 
 CASES = 500
 

@@ -1,12 +1,15 @@
-"""Differential test: the inlined scout walk vs the pure Algorithm 1 reference.
+"""Differential test: the scout walk vs the pure Algorithm 1 reference.
 
-``VeniceNetwork._step_at`` is a hand-inlined copy of
-``routing.route_step`` (the property-tested reference).  This test proves
-the two stay decision-for-decision identical by running complete
-reservations on a thousand random (topology, fault-mask) cases twice:
+``VeniceNetwork._step_at`` takes Algorithm 1's decisions on integer port
+codes (Figure 7's: RIGHT 0, UP 1, DOWN 2, LEFT 3, EJECT 4, and -1 for the
+injection input or a backtrack).  ``routing_reference.route_step`` takes
+them over ``Direction`` ports and is property-tested against the
+pseudocode.  This test proves the two stay decision-for-decision identical
+by running complete reservations on a thousand random (topology,
+fault-mask) cases twice:
 
 * once through the real ``try_reserve`` (with every ``_step_at`` decision
-  recorded), and
+  recorded and decoded back into ``Direction``s), and
 * once through a reference walker that re-implements the *stateful* part of
   the walk (stack, reservations, budgets) but takes every routing decision
   from ``route_step`` over an explicit ``usable()`` predicate.
@@ -14,18 +17,25 @@ reservations on a thousand random (topology, fault-mask) cases twice:
 Both walks run against identically-constructed networks (same LFSR seeds,
 same dead links/routers), so any divergence -- an extra LFSR advance, a
 different candidate order, a missed fault check -- shows up as a decision
-or state mismatch.
+or state mismatch.  A second run caps the walks at a few steps, so the
+walk-length guard's unwind is compared too, and a property test compares
+``best_injection`` with the two-scan rule it replaced.
 """
 
 import random
 
-from repro.interconnect.topology import Direction, MESH_DIRECTIONS
-from repro.venice.network import VeniceNetwork, _WalkFrame
-from repro.venice.routing import MAX_ROUTER_VISITS, StepKind, route_step
+from repro.interconnect.topology import Direction, edge_key
+from repro.venice.network import MAX_ROUTER_VISITS, ReservedCircuit, VeniceNetwork
+from routing_reference import StepKind, route_step
+
+
+def decode(port):
+    """The walk's integer port code as the reference's ``Direction``."""
+    return None if port < 0 else Direction(port)
 
 
 class RecordingNetwork(VeniceNetwork):
-    """VeniceNetwork that logs every raw ``_step_at`` decision."""
+    """VeniceNetwork that logs every ``_step_at`` decision, decoded."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -35,8 +45,18 @@ class RecordingNetwork(VeniceNetwork):
         output, minimal = super()._step_at(
             circuit_id, current, destination, input_port, used_ports, visits
         )
-        self.decisions.append((current, input_port, output, minimal))
+        self.decisions.append((current, decode(input_port), decode(output), minimal))
         return output, minimal
+
+
+class ShortRecordingNetwork(RecordingNetwork):
+    """A recording network whose walk-length guard trips after a few steps."""
+
+    MAX_SCOUT_STEPS = 3
+
+
+class ShortNetwork(VeniceNetwork):
+    MAX_SCOUT_STEPS = 3
 
 
 def reference_reserve(network, fc_index, destination, decisions):
@@ -78,13 +98,13 @@ def reference_reserve(network, fc_index, destination, decisions):
             consumed = used_ports.get(current)
             if consumed is not None and port in consumed:
                 return False
-            neighbor = network._neighbors[current][port.value]
+            neighbor = network.topology.neighbor(current, port)
             if neighbor is None or neighbor in network._dead_routers:
                 return False
             rows = network.router_rows[neighbor]
             if circuit_id in rows or len(rows) >= network.fc_count:
                 return False
-            edge = network._edges[current][port.value]
+            edge = edge_key(current, neighbor)
             return edge not in network.link_owner and edge not in network._dead_links
 
         step = route_step(
@@ -100,12 +120,13 @@ def reference_reserve(network, fc_index, destination, decisions):
             return None, False
         return step.output, step.minimal
 
+    # Frames are (node, entry port, exit port, edge), over Directions.
     while True:
         if forward_moves + backtracks > network.MAX_SCOUT_STEPS:
             while stack:
-                frame = stack.pop()
-                del network.link_owner[frame.edge]
-                network.router_rows[frame.node].remove(circuit_id)
+                node, _, _, edge = stack.pop()
+                del network.link_owner[edge]
+                network.router_rows[node].remove(circuit_id)
             return None
 
         output, minimal = decide()
@@ -120,28 +141,26 @@ def reference_reserve(network, fc_index, destination, decisions):
             network.ejection_owner[destination] = circuit_id
             network.injection_owner[source] = circuit_id
             nodes = [source]
-            for frame in stack:
-                nodes.append(network._neighbors[frame.node][frame.exit_port.value])
+            for node, _, exit_port, _ in stack:
+                nodes.append(network.topology.neighbor(node, exit_port))
             # Register the circuit so later walks see identical table state.
-            from repro.venice.network import ReservedCircuit
-
             network.circuits[circuit_id] = ReservedCircuit(
                 circuit_id=circuit_id,
                 fc_index=fc_index,
                 destination=destination,
                 nodes=nodes,
-                edges=[frame.edge for frame in stack],
+                edges=[edge for _, _, _, edge in stack],
                 minimal_hops=network.topology.manhattan(source, destination),
             )
             return nodes
 
         if output is not None:
-            next_node = network._neighbors[current][output.value]
-            edge = network._edges[current][output.value]
+            next_node = network.topology.neighbor(current, output)
+            edge = edge_key(current, next_node)
             network.link_owner[edge] = circuit_id
             used_ports.setdefault(current, set()).add(output)
             network.router_rows[current].add(circuit_id)
-            stack.append(_WalkFrame(current, input_port, output, edge))
+            stack.append((current, input_port, output, edge))
             visits[next_node] = visits.get(next_node, 0) + 1
             input_port = output.opposite
             current = next_node
@@ -152,22 +171,20 @@ def reference_reserve(network, fc_index, destination, decisions):
 
         if not stack:
             return None
-        frame = stack.pop()
-        del network.link_owner[frame.edge]
-        network.router_rows[frame.node].remove(circuit_id)
-        current = frame.node
-        input_port = frame.entry_port
+        current, input_port, _, edge = stack.pop()
+        del network.link_owner[edge]
+        network.router_rows[current].remove(circuit_id)
         backtracks += 1
 
 
-def build_pair(rng):
+def build_pair(rng, real_class=RecordingNetwork, reference_class=VeniceNetwork):
     """Two identically-seeded networks with one random fault mask."""
     rows = rng.randint(2, 5)
     cols = rng.randint(2, 5)
     seed = rng.randint(1, 3)
     misroutes = rng.randint(0, 3)
-    real = RecordingNetwork(rows, cols, rows, lfsr_seed=seed, max_misroutes=misroutes)
-    reference = VeniceNetwork(rows, cols, rows, lfsr_seed=seed, max_misroutes=misroutes)
+    real = real_class(rows, cols, rows, lfsr_seed=seed, max_misroutes=misroutes)
+    reference = reference_class(rows, cols, rows, lfsr_seed=seed, max_misroutes=misroutes)
     link_p = rng.choice([0.0, 0.15, 0.35])
     for edge in list(real.topology.edges()):
         if rng.random() < link_p:
@@ -181,11 +198,15 @@ def build_pair(rng):
     return real, reference
 
 
-def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
-    rng = random.Random(0xD1FF)
+def compare_random_walks(rng, count, real_class, reference_class):
+    """Run ``count`` random walks through both walkers; assert they agree.
+
+    Returns how many of the real walks the walk-length guard ended.
+    """
     walks = 0
-    while walks < 1000:
-        real, reference = build_pair(rng)
+    guarded = 0
+    while walks < count:
+        real, reference = build_pair(rng, real_class, reference_class)
         for _ in range(3):
             fc = rng.randrange(real.fc_count)
             destination = (
@@ -205,6 +226,7 @@ def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
             assert result.succeeded == (nodes is not None), context
             if result.succeeded:
                 assert result.circuit.nodes == nodes, context
+            guarded += result.scout_hops > real.MAX_SCOUT_STEPS
             # Reservation ground truth stays identical walk for walk.
             assert real.link_owner == reference.link_owner, context
             assert real.ejection_owner == reference.ejection_owner, context
@@ -214,7 +236,90 @@ def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
                 lfsr.state for lfsr in reference._lfsrs.values()
             ], context
             walks += 1
-    assert walks >= 1000
+    return guarded
+
+
+def test_walk_matches_route_step_reference_on_1k_random_fault_cases():
+    rng = random.Random(0xD1FF)
+    compare_random_walks(rng, 1000, RecordingNetwork, VeniceNetwork)
+
+
+def test_walk_length_guard_matches_the_reference():
+    """With MAX_SCOUT_STEPS at 3 the guard ends every walk longer than
+    that (87 of these 1,000; none of the 1k cases above reaches the real
+    cap), so its unwind is compared decision by decision and state by
+    state."""
+    rng = random.Random(0x57E9)
+    guarded = compare_random_walks(rng, 1000, ShortRecordingNetwork, ShortNetwork)
+    assert guarded == 87
+
+
+def two_scan_best_injection(network, fc_index, destination):
+    """The drop-point rule ``best_injection`` replaced: the nearest free
+    drop, else the nearest drop, each by a scan with a strict ``<``."""
+    points = network._injection_rows[fc_index]
+    if network._dead_routers or network._dead_links:
+        degraded = network.degraded_mode()
+        points = tuple(
+            point for point in points if degraded.same_component(point, destination)
+        )
+        if not points:
+            return None
+    dest_row, dest_col = destination
+    best = None
+    best_distance = 1 << 30
+    for point in points:
+        if point not in network.injection_owner:
+            distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
+            if distance < best_distance:
+                best_distance = distance
+                best = point
+    if best is not None:
+        return best
+    for point in points:
+        distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
+        if distance < best_distance:
+            best_distance = distance
+            best = point
+    return best
+
+
+def test_best_injection_matches_the_two_scan_rule():
+    rng = random.Random(0xB157)
+    outcomes = {"none": 0, "all-busy": 0, "free": 0}
+    for _ in range(120):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        network = VeniceNetwork(rows, cols, rng.randint(1, 2 * rows))
+        degraded = network.degraded_mode()
+        edges = [sorted(edge) for edge in network.topology.edges()]
+        drops = sorted({point for row in network._injection_rows for point in row})
+        for _ in range(4):
+            # Toggle a few links and routers, then redraw the occupied drops:
+            # the cached drop order must not see either.
+            for a, b in edges:
+                if rng.random() < 0.1:
+                    degraded.set_link(a, b, down=frozenset((a, b)) not in network._dead_links)
+            for node in network.router_rows:
+                if rng.random() < 0.05:
+                    degraded.set_router(node, down=node not in network._dead_routers)
+            busy = rng.choice([0.0, 0.5, 0.9, 1.0])
+            network.injection_owner = {
+                point: 0 for point in drops if rng.random() < busy
+            }
+            for fc in range(network.fc_count):
+                for destination in network.router_rows:
+                    expected = two_scan_best_injection(network, fc, destination)
+                    assert network.best_injection(fc, destination) == expected, (
+                        rows, cols, fc, destination,
+                    )
+                    if expected is None:
+                        outcomes["none"] += 1
+                    elif expected in network.injection_owner:
+                        outcomes["all-busy"] += 1
+                    else:
+                        outcomes["free"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_reference_and_walk_agree_on_pristine_mesh_decisions():
