@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.errors import QueueError
+from repro.errors import QueueError, ReproError
 from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
 from repro.fileio import atomic_write_text, check_directory_path
@@ -256,6 +256,36 @@ class WorkQueue:
             raise QueueError(f"queue has no task {digest[:12]}")
         return RunSpec.from_dict(payload["spec"])
 
+    def _spec_or_dead_letter(
+        self, digest: str, attempt: int, marker: Path
+    ) -> Optional[RunSpec]:
+        """The spec of a task just claimed or reclaimed through ``marker``.
+
+        ``None``, with ``marker`` removed, when there is nothing to run:
+        the task file is gone, or its spec no longer parses (say, it names
+        a device kwarg this version dropped).  No retry can parse such a
+        spec, so it is dead-lettered at once with its raw payload instead
+        of raising out of every worker that meets it.
+        """
+        try:
+            return self.spec_for(digest)
+        except QueueError:  # pragma: no cover - task raced away
+            pass
+        except (ReproError, ValueError, KeyError, TypeError) as error:
+            task = _read_json(self._task_path(digest))
+            _atomic_write_json(
+                self._dead_path(digest),
+                {
+                    "digest": digest,
+                    "spec": task.get("spec") if isinstance(task, dict) else None,
+                    "attempts": attempt,
+                    "errors": [f"unreadable task: {error}"],
+                    "dead_since": time.time(),
+                },
+            )
+        marker.unlink()
+        return None
+
     # -- claim / lease lifecycle ----------------------------------------- #
 
     def _attempts_so_far(self, digest: str) -> int:
@@ -307,10 +337,8 @@ class WorkQueue:
                     handle,
                     indent=1,
                 )
-            try:
-                spec = self.spec_for(digest)
-            except QueueError:  # pragma: no cover - task raced away
-                claim_path.unlink()
+            spec = self._spec_or_dead_letter(digest, attempt, claim_path)
+            if spec is None:
                 continue
             return Task(digest=digest, spec=spec, attempt=attempt, owner=owner)
         return None
@@ -430,10 +458,8 @@ class WorkQueue:
             claim = _read_json(tombstone) or {}
             owner = claim.get("owner", "unknown")
             attempt = int(claim.get("attempt", self._attempts_so_far(digest) + 1))
-            try:
-                spec = self.spec_for(digest)
-            except QueueError:  # pragma: no cover - task file lost
-                tombstone.unlink()
+            spec = self._spec_or_dead_letter(digest, attempt, tombstone)
+            if spec is None:
                 continue
             self.fail(
                 Task(digest=digest, spec=spec, attempt=attempt, owner=owner),

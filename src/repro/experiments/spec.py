@@ -36,7 +36,6 @@ from repro.metrics.collector import RunResult
 from repro.sim.checkpoint import WarmupPhase, restore_device, snapshot_device
 from repro.sim.convergence import EarlyStopPolicy
 from repro.sim.faults import FaultSchedule
-from repro.sim.stats import exact_stats_default
 from repro.ssd.device import SsdDevice
 from repro.ssd.factory import supports_geometry
 from repro.workloads.catalog import generate_workload, spec_by_name
@@ -586,18 +585,12 @@ class RunSpec:
                 f"{self.design} does not support a "
                 f"{config.geometry.channels}x{config.geometry.chips_per_channel} array"
             )
-        device_kwargs = dict(self.device_kwargs)
-        # Pin the stats mode: specs that do not carry exact_stats always run
-        # in the default histogram mode, so the run is a pure function of
-        # the spec (the VENICE_EXACT_STATS environment switch is folded into
-        # device_kwargs by make_spec, at spec-construction time).
-        device_kwargs.setdefault("exact_stats", False)
         return SsdDevice(
             config,
             design,
             queue_pairs=self.scale.queue_pairs,
             faults=(self.faults or None) if with_faults else None,
-            **device_kwargs,
+            **dict(self.device_kwargs),
         )
 
     def compute_checkpoint(self) -> Tuple[dict, int]:
@@ -714,7 +707,6 @@ def make_spec(
     execution time, or a shared cache would serve mismatched results.
     Concretely:
 
-    * the ``VENICE_EXACT_STATS`` switch is folded into ``device_kwargs``;
     * a workload named ``trace:<path>`` (or an explicit ``trace=`` path)
       is resolved to its canonical content digest, and the spec's workload
       becomes the file's stem;
@@ -745,8 +737,6 @@ def make_spec(
         for name in SPEC_CLAUSES
         if name in device_kwargs
     }
-    if "exact_stats" not in device_kwargs and exact_stats_default():
-        device_kwargs["exact_stats"] = True
     name = design.value if isinstance(design, DesignKind) else str(design).lower()
     mix = workload in MIX_CATALOG
     if workload.startswith(TRACE_WORKLOAD_PREFIX):

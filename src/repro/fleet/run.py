@@ -12,7 +12,7 @@ fan-out, content-addressed store) and reduces the member
 * **cross-device latency** -- per-device streaming histograms
   (:meth:`~repro.sim.stats.LatencyRecorder.to_payload`) merged into one
   recorder, so fleet p50/p99/p999 carry the same documented 1% relative
-  bound as single-device percentiles (exact mode merges raw samples);
+  bound as single-device percentiles;
 * **skew/imbalance** -- max/mean request imbalance and the coefficient of
   variation across member devices, the dispatcher-quality metrics;
 * **per-tenant latency** -- when members exported per-tenant histograms
@@ -53,8 +53,8 @@ def merge_latency_payloads(
     """Merge per-device latency payloads into one recorder (None if none).
 
     Skips members that exported no histogram (e.g. store entries written
-    before histogram export existed); mixing exact- and histogram-mode
-    payloads raises, matching :meth:`LatencyRecorder.merge`.
+    before histogram export existed); a payload whose mode is not
+    ``"histogram"`` raises, as in :meth:`LatencyRecorder.from_payload`.
     """
     merged: Optional[LatencyRecorder] = None
     for payload in payloads:
@@ -394,7 +394,7 @@ def run_fleet_sweep(
         "curve": curve,
     }
     if sample:
-        # Key omitted in exact mode so pre-sampling payloads are unchanged.
+        # Key omitted when unsampled so pre-sampling payloads are unchanged.
         payload["sample"] = sample
     first_fleet = next(iter(first.values()))
     if first_fleet.qos:

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config.ssd_config import NS_PER_S
 from repro.errors import SimulationError
 from repro.hil.request import IoRequest
-from repro.sim.stats import LatencyRecorder, exact_stats_default
+from repro.sim.stats import LatencyRecorder
 
 
 @dataclass
@@ -130,27 +130,18 @@ class RunResult:
 class MetricsCollector:
     """Accumulates per-request results during a run.
 
-    ``exact_stats`` selects the latency-recorder mode: ``False`` (the
-    default) streams samples into O(1)-memory log-bucketed histograms whose
-    percentiles/CDF carry the documented 1% relative bound; ``True`` keeps
-    every raw sample for bit-exact percentiles.  ``None`` defers to the
-    ``VENICE_EXACT_STATS`` environment switch.
+    Latencies stream into an O(1)-memory log-bucketed
+    :class:`~repro.sim.stats.LatencyRecorder`, whose percentiles/CDF carry
+    the documented 1% relative bound.
 
     ``track_tenants`` additionally streams each tenant-tagged request's
-    latency into a per-tenant recorder (same mode), so QoS-bearing fleet
-    members can export per-tenant histograms; off (the default) the tenant
-    tag is ignored and results are unchanged.
+    latency into a per-tenant recorder, so QoS-bearing fleet members can
+    export per-tenant histograms; off (the default) the tenant tag is
+    ignored and results are unchanged.
     """
 
-    def __init__(
-        self,
-        exact_stats: Optional[bool] = None,
-        track_tenants: bool = False,
-    ) -> None:
-        self.exact_stats = (
-            exact_stats_default() if exact_stats is None else bool(exact_stats)
-        )
-        self.latencies = LatencyRecorder(exact=self.exact_stats)
+    def __init__(self, track_tenants: bool = False) -> None:
+        self.latencies = LatencyRecorder()
         self.track_tenants = bool(track_tenants)
         self.tenant_latencies: Dict[int, LatencyRecorder] = {}
         self.requests_completed = 0
@@ -168,7 +159,7 @@ class MetricsCollector:
         if self.track_tenants and request.tenant is not None:
             recorder = self.tenant_latencies.get(request.tenant)
             if recorder is None:
-                recorder = LatencyRecorder(exact=self.exact_stats)
+                recorder = LatencyRecorder()
                 self.tenant_latencies[request.tenant] = recorder
             recorder.record(latency)
         if request.is_read:

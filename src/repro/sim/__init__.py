@@ -18,13 +18,7 @@ of SimPy, specialised for the needs of an SSD simulator:
 from repro.sim.engine import Engine, OneShotEvent, Grant, Process
 from repro.sim.resources import Resource, ResourcePool, Lease
 from repro.sim.rng import DeterministicRng, Lfsr2
-from repro.sim.stats import (
-    HISTOGRAM_RELATIVE_ERROR,
-    RunningStat,
-    LatencyRecorder,
-    exact_stats_default,
-    percentile,
-)
+from repro.sim.stats import HISTOGRAM_RELATIVE_ERROR, LatencyRecorder
 
 __all__ = [
     "Engine",
@@ -37,8 +31,5 @@ __all__ = [
     "DeterministicRng",
     "Lfsr2",
     "HISTOGRAM_RELATIVE_ERROR",
-    "RunningStat",
     "LatencyRecorder",
-    "exact_stats_default",
-    "percentile",
 ]

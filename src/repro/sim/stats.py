@@ -1,28 +1,19 @@
-"""Statistics primitives for the metrics layer.
+"""Latency statistics for the metrics layer.
 
-Small, dependency-light accumulators:
-
-* :func:`percentile` -- linear-interpolation percentile on a sorted copy,
-* :class:`RunningStat` -- streaming count/mean/min/max/variance (Welford),
-* :class:`LatencyRecorder` -- latency accumulator with percentile and CDF
-  extraction.  The default mode is a streaming log-bucketed histogram
-  (DDSketch-style): O(1) memory per distinct magnitude, exact
-  count/mean/min/max, and quantiles with a guaranteed relative error of
-  :data:`HISTOGRAM_RELATIVE_ERROR` (1%).  ``exact=True`` retains every raw
-  sample and reproduces the historical bit-exact percentiles -- the mode
-  equivalence tests and the ``VENICE_EXACT_STATS=1`` environment switch
-  rely on it.
+:class:`LatencyRecorder` is a streaming log-bucketed histogram
+(DDSketch-style): O(1) memory per distinct magnitude, exact
+count/mean/min/max, and quantiles with a guaranteed relative error of
+:data:`HISTOGRAM_RELATIVE_ERROR` (1%).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 
-#: Guaranteed relative error bound of histogram-mode quantiles and CDF
+#: Guaranteed relative error bound of the recorder's quantiles and CDF
 #: points: every reported latency v' satisfies |v' - v| <= 0.01 * v for the
 #: true order statistic v.  (Log-bucketed sketch with gamma = 1.01/0.99;
 #: estimates are the geometric bucket midpoint 2*gamma^i/(gamma+1), clamped
@@ -34,82 +25,16 @@ _LOG_GAMMA = math.log(_GAMMA)
 _BUCKET_MID = 2.0 / (_GAMMA + 1.0)  # estimate(i) = gamma**i * _BUCKET_MID
 
 
-def exact_stats_default() -> bool:
-    """Process-wide default for exact-mode stats (``VENICE_EXACT_STATS``)."""
-    return os.environ.get("VENICE_EXACT_STATS", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile; ``fraction`` in [0, 1]."""
-    if not samples:
-        raise SimulationError("percentile of empty sample set")
-    if not 0.0 <= fraction <= 1.0:
-        raise SimulationError(f"fraction out of range: {fraction}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = fraction * (len(ordered) - 1)
-    lower = int(math.floor(position))
-    upper = int(math.ceil(position))
-    if lower == upper:
-        return float(ordered[lower])
-    weight = position - lower
-    return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-
-
-class RunningStat:
-    """Streaming count / mean / variance / extrema (Welford's algorithm)."""
-
-    __slots__ = ("count", "mean", "_m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running statistics (O(1))."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (Bessel-corrected); 0 below two samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RunningStat(n={self.count}, mean={self.mean:.3f})"
-
-
 class LatencyRecorder:
     """Latency store with percentile and CDF extraction.
 
-    ``exact=False`` (default): streaming log-bucketed histogram -- constant
-    memory, exact count/mean/min/max, quantiles within
-    :data:`HISTOGRAM_RELATIVE_ERROR`.  ``exact=True``: keeps every raw
-    sample (the pre-histogram behaviour, bit-identical percentiles).
+    A streaming log-bucketed histogram: constant memory, exact
+    count/mean/min/max, quantiles within :data:`HISTOGRAM_RELATIVE_ERROR`.
     """
 
-    __slots__ = ("exact", "samples", "count", "_sum", "_min", "_max", "_buckets", "_zeros")
+    __slots__ = ("count", "_sum", "_min", "_max", "_buckets", "_zeros")
 
-    def __init__(self, exact: Optional[bool] = None) -> None:
-        self.exact = exact_stats_default() if exact is None else bool(exact)
-        self.samples: Optional[List[float]] = [] if self.exact else None
+    def __init__(self) -> None:
         self.count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -120,17 +45,13 @@ class LatencyRecorder:
     def record(self, latency: float) -> None:
         """Record one latency sample.
 
-        Exact mode appends to the raw sample list; histogram mode updates
-        the running sum/extrema and increments the sample's log bucket
-        (``ceil(log(v) / log(gamma))``; zero latencies get a dedicated
-        bucket and are reported exactly).
+        Updates the running sum/extrema and increments the sample's log
+        bucket (``ceil(log(v) / log(gamma))``; zero latencies get a
+        dedicated bucket and are reported exactly).
         """
         if latency < 0:
             raise SimulationError(f"negative latency: {latency}")
         self.count += 1
-        if self.exact:
-            self.samples.append(latency)
-            return
         self._sum += latency
         if latency < self._min:
             self._min = latency
@@ -145,26 +66,24 @@ class LatencyRecorder:
 
     @property
     def mean(self) -> float:
-        """Exact arithmetic mean (both modes); 0.0 with no samples."""
+        """Exact arithmetic mean; 0.0 with no samples."""
         if not self.count:
             return 0.0
-        if self.exact:
-            return sum(self.samples) / len(self.samples)
         return self._sum / self.count
 
     @property
     def minimum(self) -> float:
-        """Exact smallest recorded latency (both modes); 0.0 when empty."""
+        """Exact smallest recorded latency; 0.0 when empty."""
         if not self.count:
             return 0.0
-        return min(self.samples) if self.exact else self._min
+        return self._min
 
     @property
     def maximum(self) -> float:
-        """Exact largest recorded latency (both modes); 0.0 when empty."""
+        """Exact largest recorded latency; 0.0 when empty."""
         if not self.count:
             return 0.0
-        return max(self.samples) if self.exact else self._max
+        return self._max
 
     # ---------------------------------------------------------------- #
     # quantiles
@@ -173,12 +92,9 @@ class LatencyRecorder:
     def p(self, fraction: float) -> float:
         """Latency at quantile ``fraction`` (linear interpolation).
 
-        Bit-exact in exact mode; within
-        :data:`HISTOGRAM_RELATIVE_ERROR` of the true order statistic in
-        histogram mode.  Raises on an empty recorder.
+        Within :data:`HISTOGRAM_RELATIVE_ERROR` of the linear-interpolation
+        percentile of the recorded samples.  Raises on an empty recorder.
         """
-        if self.exact:
-            return percentile(self.samples, fraction)
         if not self.count:
             raise SimulationError("percentile of empty sample set")
         if not 0.0 <= fraction <= 1.0:
@@ -209,15 +125,13 @@ class LatencyRecorder:
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe snapshot of the recorder's state.
 
-        Exact mode exports the raw sample list; histogram mode exports the
-        running sum/extrema, the zero-bucket count, and the log buckets
-        (keys stringified for JSON).  :meth:`from_payload` inverts either
-        form losslessly, so payloads can travel through the result store
-        and be merged across devices without losing the documented
+        Exports the running sum/extrema, the zero-bucket count, and the
+        log buckets (keys stringified for JSON) under ``"mode":
+        "histogram"``.  :meth:`from_payload` inverts it losslessly, so
+        payloads can travel through the result store and be merged across
+        devices without losing the documented
         :data:`HISTOGRAM_RELATIVE_ERROR` quantile bound.
         """
-        if self.exact:
-            return {"mode": "exact", "samples": list(self.samples)}
         return {
             "mode": "histogram",
             "count": self.count,
@@ -231,16 +145,16 @@ class LatencyRecorder:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "LatencyRecorder":
-        """Rebuild a recorder from :meth:`to_payload` output."""
+        """Rebuild a recorder from :meth:`to_payload` output.
+
+        Any other ``mode`` -- such as the raw-sample ``"exact"`` payloads
+        of older versions -- raises :class:`~repro.errors.SimulationError`
+        naming it.
+        """
         mode = payload.get("mode")
-        if mode == "exact":
-            recorder = cls(exact=True)
-            for sample in payload["samples"]:
-                recorder.record(float(sample))
-            return recorder
         if mode != "histogram":
             raise SimulationError(f"unknown latency payload mode {mode!r}")
-        recorder = cls(exact=False)
+        recorder = cls()
         recorder.count = int(payload["count"])
         recorder._sum = float(payload["sum"])
         recorder._min = math.inf if payload["min"] is None else float(payload["min"])
@@ -253,22 +167,12 @@ class LatencyRecorder:
         return recorder
 
     def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's samples into this one (same mode only).
+        """Fold another recorder's samples into this one.
 
-        Merging histograms is exact for count/mean/min/max and preserves
-        the 1% relative quantile bound (bucket counts simply add); merging
-        exact recorders concatenates the raw samples.  Mixing modes would
-        silently change the error bound of the result, so it raises
-        :class:`~repro.errors.SimulationError` instead.
+        Exact for count/mean/min/max and preserves the 1% relative
+        quantile bound: bucket counts simply add, so the result equals one
+        recorder that recorded both sample sets.
         """
-        if self.exact != other.exact:
-            raise SimulationError(
-                "cannot merge exact-mode and histogram-mode recorders"
-            )
-        if self.exact:
-            self.samples.extend(other.samples)
-            self.count += other.count
-            return
         self.count += other.count
         self._sum += other._sum
         if other._min < self._min:
@@ -331,12 +235,6 @@ class LatencyRecorder:
             min(total - 1, max(0, int(round(fraction * total)) - 1))
             for fraction in fractions
         ]
-        if self.exact:
-            ordered = sorted(self.samples)
-            return [
-                (float(ordered[rank]), fraction)
-                for rank, fraction in zip(ranks, fractions)
-            ]
         values = self._order_values(ranks)
         return [(values[rank], fraction) for rank, fraction in zip(ranks, fractions)]
 
@@ -348,8 +246,6 @@ class LatencyRecorder:
             min(start_fraction + (1.0 - start_fraction) * step / points, 1.0)
             for step in range(points + 1)
         ]
-        if self.exact:
-            return [(self.p(fraction), fraction) for fraction in fractions]
         # One bucket walk for every interpolation rank of every fraction,
         # instead of a walk (and sort) per point.
         positions = [fraction * (self.count - 1) for fraction in fractions]

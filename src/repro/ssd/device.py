@@ -70,7 +70,6 @@ class SsdDevice:
         queue_pairs: int = 4,
         enable_wear_leveling: bool = False,
         allocation: AllocationStrategy = AllocationStrategy.CWDP,
-        exact_stats: Optional[bool] = None,
         faults: Optional[Union[str, FaultSchedule]] = None,
         export_histogram: bool = False,
         export_tenant_histograms: bool = False,
@@ -109,10 +108,7 @@ class SsdDevice:
             NvmeQueuePair(queue_id, depth=config.queue_depth * 4)
             for queue_id in range(max(1, queue_pairs))
         ]
-        self.metrics = MetricsCollector(
-            exact_stats=exact_stats,
-            track_tenants=bool(export_tenant_histograms),
-        )
+        self.metrics = MetricsCollector(track_tenants=bool(export_tenant_histograms))
         # Fleet roll-ups merge per-device latency distributions: with
         # export_histogram the RunResult carries the recorder's payload
         # (omitted otherwise, keeping ordinary results byte-identical).

@@ -221,12 +221,6 @@ class VeniceNetwork:
     # link state queries
     # ------------------------------------------------------------------ #
 
-    def ejection_free(self, node: Coord) -> bool:
-        return node not in self.ejection_owner
-
-    def injection_free(self, node: Coord) -> bool:
-        return node not in self.injection_owner
-
     def injection_points(self, fc_index: int) -> List[Coord]:
         """Drop points of a controller, nearest row first."""
         return list(self._injection_rows[fc_index])

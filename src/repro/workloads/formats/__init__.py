@@ -173,17 +173,15 @@ TRACE_EXTENSIONS = (
 )
 
 
-def resolve_trace_path(
-    workload: str, trace_dir: Optional[PathLike] = None
-) -> Optional[Path]:
+def resolve_trace_path(workload: str) -> Optional[Path]:
     """Find a real trace file for a workload name, if one is available.
 
-    Looks for ``<trace_dir>/<workload><ext>`` for each registered extension;
-    ``trace_dir`` defaults to the :data:`TRACE_DIR_ENV` environment variable.
-    Returns ``None`` when no directory is configured or no file matches --
-    the caller falls back to synthetic generation.
+    Looks for ``<dir>/<workload><ext>`` for each registered extension, where
+    ``<dir>`` is the :data:`TRACE_DIR_ENV` environment variable.  Returns
+    ``None`` when no directory is configured or no file matches -- the
+    caller falls back to synthetic generation.
     """
-    directory = trace_dir if trace_dir is not None else os.environ.get(TRACE_DIR_ENV)
+    directory = os.environ.get(TRACE_DIR_ENV)
     if not directory:
         return None
     base = Path(directory)

@@ -78,17 +78,15 @@ def generate_mix(
     count_per_constituent: int,
     footprint_bytes: int,
     seed: int = 42,
-    source: str = "synthetic",
 ) -> Trace:
     """Synthesize a Table 3 mix.
 
     Each constituent gets a disjoint slice of the footprint (independent
     volumes sharing the SSD) and its own queue id; the merged arrival
-    stream is rescaled to the published mix intensity.  ``source`` is
-    forwarded to :func:`~repro.workloads.catalog.generate_workload` per
-    constituent; it defaults to ``"synthetic"`` (not ``"auto"``) because
-    mixes are re-timed compositions -- run specs stay a pure function of
-    their recorded fields even when ``VENICE_TRACE_DIR`` is set.
+    stream is rescaled to the published mix intensity.  Constituents are
+    always synthesised, never replayed from ``VENICE_TRACE_DIR``: mixes are
+    re-timed compositions, and run specs stay a pure function of their
+    recorded fields whether or not that variable is set.
     """
     spec = MIX_CATALOG.get(name)
     if spec is None:
@@ -105,7 +103,7 @@ def generate_mix(
             count=count_per_constituent,
             footprint_bytes=slice_bytes,
             seed=seed + queue_id,
-            source=source,
+            source="synthetic",
         )
         base = queue_id * slice_bytes
         for request in trace:

@@ -283,6 +283,34 @@ def test_worker_dead_letters_a_spec_that_keeps_failing(tmp_path, monkeypatch):
     assert "sim exploded" in letter["errors"][-1]
 
 
+@pytest.mark.parametrize("leased", [False, True], ids=["claim", "reap"])
+def test_a_task_whose_spec_no_longer_parses_dead_letters_at_once(
+    tmp_path, leased
+):
+    queue = make_queue(tmp_path)
+    queue.enqueue(SPECS[0])
+    if leased:  # its worker died holding the lease
+        queue.claim("victim")
+        backdate_claim(queue, SPECS[0].digest, by_seconds=queue.lease_seconds + 1)
+    path = queue.tasks_dir / f"{SPECS[0].digest}.json"
+    task = json.loads(path.read_text())
+    task["spec"]["device_kwargs"] = [["enable_gc", True]]  # a retired kwarg
+    path.write_text(json.dumps(task))
+    summary = QueueWorker(queue, idle_exit=0.0).run()  # returns, no raise
+    assert (summary["completed"], summary["failed"]) == (0, 0)
+    letter = queue.dead_letters()[SPECS[0].digest]
+    assert letter["spec"] == task["spec"]
+    (error,) = letter["errors"]
+    assert error.startswith("unreadable task: unknown device kwarg 'enable_gc'")
+    assert not list(queue.claims_dir.iterdir())
+    assert not list(queue.reclaim_dir.iterdir())
+    status = queue.status()
+    assert (status["dead"], status["expired_leases"]) == (1, 0)
+    # The queue stays usable: a queued batch of another spec completes.
+    results, failures = QueueExecutor(queue).run([SPECS[1]])
+    assert failures == [] and results[0] is not None
+
+
 def test_queued_sweep_matches_serial_execution(tmp_path):
     serial = execute_specs(SPECS, executor=Executor())
     queue = make_queue(tmp_path)

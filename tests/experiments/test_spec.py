@@ -99,7 +99,7 @@ def test_non_scalar_device_kwargs_rejected():
 
 
 @pytest.mark.parametrize(
-    "name", ["enable_gc", "multi_plane_writes", "queue_pairs"]
+    "name", ["enable_gc", "exact_stats", "multi_plane_writes", "queue_pairs"]
 )
 def test_unknown_device_kwargs_rejected(name):
     # A name the device does not take as a spec option fails when the spec

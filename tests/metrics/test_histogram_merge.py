@@ -1,6 +1,7 @@
 """LatencyRecorder payload round-trips and cross-device merging."""
 
 import json
+import math
 
 import pytest
 
@@ -19,8 +20,16 @@ def _samples(seed, count, scale):
     return [float(v) for v in values]
 
 
+def interpolated(ordered, fraction):
+    """Linear-interpolation percentile of a sorted list (the reference)."""
+    position = fraction * (len(ordered) - 1)
+    lower, upper = math.floor(position), math.ceil(position)
+    weight = position - lower
+    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+
+
 def test_histogram_payload_round_trips_through_json():
-    recorder = LatencyRecorder(exact=False)
+    recorder = LatencyRecorder()
     for value in _samples(1, 500, 100_000) + [0.0, 0.0]:
         recorder.record(value)
     payload = json.loads(json.dumps(recorder.to_payload()))
@@ -33,20 +42,8 @@ def test_histogram_payload_round_trips_through_json():
         assert rebuilt.p(fraction) == recorder.p(fraction)
 
 
-def test_exact_payload_round_trips():
-    recorder = LatencyRecorder(exact=True)
-    for value in _samples(2, 200, 50_000):
-        recorder.record(value)
-    rebuilt = LatencyRecorder.from_payload(
-        json.loads(json.dumps(recorder.to_payload()))
-    )
-    assert rebuilt.exact
-    assert rebuilt.samples == recorder.samples
-    assert rebuilt.p99 == recorder.p99
-
-
 def test_empty_recorder_round_trips():
-    rebuilt = LatencyRecorder.from_payload(LatencyRecorder(exact=False).to_payload())
+    rebuilt = LatencyRecorder.from_payload(LatencyRecorder().to_payload())
     assert rebuilt.count == 0
     assert rebuilt.mean == 0.0 and rebuilt.maximum == 0.0
     # and it still accepts samples afterwards
@@ -55,18 +52,20 @@ def test_empty_recorder_round_trips():
 
 
 def test_unknown_payload_mode_rejected():
-    with pytest.raises(SimulationError):
-        LatencyRecorder.from_payload({"mode": "parquet"})
+    # "exact" is the raw-sample payload of the retired exact-stats mode.
+    for payload in ({"mode": "parquet"}, {"mode": "exact", "samples": [1.0, 2.0]}):
+        with pytest.raises(SimulationError, match=repr(payload["mode"])):
+            LatencyRecorder.from_payload(payload)
 
 
 def test_merged_histograms_match_one_big_recorder_exactly():
     """Merging buckets is associative: same state as recording everything
     into a single recorder, so merged quantiles keep the 1% bound."""
     shards = [_samples(seed, 300, 80_000) for seed in range(4)]
-    one = LatencyRecorder(exact=False)
+    one = LatencyRecorder()
     parts = []
     for shard in shards:
-        part = LatencyRecorder(exact=False)
+        part = LatencyRecorder()
         for value in shard:
             one.record(value)
             part.record(value)
@@ -84,34 +83,17 @@ def test_merged_histograms_match_one_big_recorder_exactly():
 def test_merged_quantiles_stay_within_the_documented_bound():
     shards = [_samples(seed, 400, 60_000) for seed in range(3)]
     flat = sorted(value for shard in shards for value in shard)
-    merged = LatencyRecorder(exact=False)
+    merged = LatencyRecorder()
     for shard in shards:
-        part = LatencyRecorder(exact=False)
+        part = LatencyRecorder()
         for value in shard:
             part.record(value)
         merged.merge(part)
-    for fraction in (0.5, 0.99, 0.999):
-        position = fraction * (len(flat) - 1)
-        true_value = flat[int(round(position))]
+    for step in range(101):
+        fraction = step / 100
         assert merged.p(fraction) == pytest.approx(
-            true_value, rel=3 * HISTOGRAM_RELATIVE_ERROR, abs=1.0
+            interpolated(flat, fraction), rel=HISTOGRAM_RELATIVE_ERROR
         )
-
-
-def test_exact_recorders_merge_by_concatenation():
-    left, right = LatencyRecorder(exact=True), LatencyRecorder(exact=True)
-    for value in (1.0, 5.0, 9.0):
-        left.record(value)
-    for value in (2.0, 4.0):
-        right.record(value)
-    left.merge(right)
-    assert left.count == 5
-    assert sorted(left.samples) == [1.0, 2.0, 4.0, 5.0, 9.0]
-
-
-def test_mode_mismatch_refuses_to_merge():
-    with pytest.raises(SimulationError):
-        LatencyRecorder(exact=True).merge(LatencyRecorder(exact=False))
 
 
 # --------------------------------------------------------------------- #
@@ -137,7 +119,7 @@ def test_run_result_omits_absent_histogram():
 
 
 def test_run_result_round_trips_histogram_payload():
-    recorder = LatencyRecorder(exact=False)
+    recorder = LatencyRecorder()
     for value in (100.0, 200.0, 300.0):
         recorder.record(value)
     result = _result(latency_histogram=recorder.to_payload())
